@@ -9,17 +9,6 @@ VectorRegFile::VectorRegFile(const RegFileGeometry &geom)
 }
 
 void
-VectorRegFile::set(unsigned slot, unsigned reg, unsigned lane,
-                   const Value &value, Cycle t, InstrTag tag)
-{
-    std::uint64_t id = geom_.regId(slot, reg, lane);
-    values_[id] = value;
-    ++writes_;
-    if (listener_)
-        listener_->onRegWrite(id, t, tag);
-}
-
-void
 VectorRegFile::noteRead(unsigned slot, unsigned reg, unsigned lane,
                         Cycle t, std::uint32_t consume_mask, DefId def,
                         bool exact)

@@ -61,8 +61,16 @@ class VectorRegFile
     }
 
     /** Write a register and notify the listener. */
-    void set(unsigned slot, unsigned reg, unsigned lane,
-             const Value &value, Cycle t, InstrTag tag = noInstrTag);
+    void
+    set(unsigned slot, unsigned reg, unsigned lane, const Value &value,
+        Cycle t, InstrTag tag = noInstrTag)
+    {
+        const std::uint64_t id = geom_.regId(slot, reg, lane);
+        values_[id] = value;
+        ++writes_;
+        if (listener_)
+            listener_->onRegWrite(id, t, tag);
+    }
 
     /** Record a read (the caller fetched the value via get()). */
     void noteRead(unsigned slot, unsigned reg, unsigned lane, Cycle t,

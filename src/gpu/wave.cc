@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -16,76 +17,65 @@ namespace
 
 constexpr std::uint32_t allBits = ~std::uint32_t(0);
 
-std::uint32_t
-relAll(std::uint32_t, std::uint32_t)
-{
+// Operand relevance functors: relevance of one operand =
+// rel(own bits, other operand bits). Distinct types, so the ALU op
+// templates below inline them.
+
+constexpr auto relAll = [](std::uint32_t, std::uint32_t) {
     return allBits;
-}
+};
 
 /** AND: a bit of one operand matters only where the other is 1. */
-std::uint32_t
-relAnd(std::uint32_t, std::uint32_t other)
-{
+constexpr auto relAnd = [](std::uint32_t, std::uint32_t other) {
     return other;
-}
+};
 
 /** OR: a bit of one operand matters only where the other is 0. */
-std::uint32_t
-relOr(std::uint32_t, std::uint32_t other)
-{
+constexpr auto relOr = [](std::uint32_t, std::uint32_t other) {
     return ~other;
-}
+};
 
 /** MUL: if the other operand is zero, no bit matters. */
-std::uint32_t
-relMul(std::uint32_t, std::uint32_t other)
-{
+constexpr auto relMul = [](std::uint32_t, std::uint32_t other) {
     return other == 0 ? 0 : allBits;
+};
+
+/**
+ * Call @p fn(lane) for every active lane of @p mask in ascending
+ * lane order (the order the L1 sees accesses in, which fixes its
+ * LRU state).
+ */
+template <class Fn>
+inline void
+forEachLane(std::uint64_t mask, Fn &&fn)
+{
+    for (; mask != 0; mask &= mask - 1)
+        fn(static_cast<unsigned>(std::countr_zero(mask)));
 }
 
 } // namespace
 
 Wave::Wave(Gpu &gpu, unsigned cu, unsigned slot, unsigned wave_id)
-    : gpu_(gpu), cu_(cu), slot_(slot), waveId_(wave_id),
+    : gpu_(gpu), rf_(gpu.regFile(cu)), l1_(gpu.l1(cu)), cu_(cu),
+      slot_(slot), waveId_(wave_id),
+      lanes_(gpu.config().wavefrontSize),
+      quarterWave_(gpu.config().quarterWave),
       time_(gpu.clock().now())
 {
-    execStack_.push_back(lowMask(gpu.config().wavefrontSize));
+    execStack_.push_back(lowMask(lanes_));
 }
 
-unsigned
-Wave::laneCount() const
-{
-    return gpu_.config().wavefrontSize;
-}
-
-bool
-Wave::laneActive(unsigned lane) const
-{
-    return bitAt(activeMask(), lane);
-}
-
-Cycle
-Wave::laneTime(unsigned lane) const
-{
-    return time_ + lane / gpu_.config().quarterWave;
-}
-
-void
+std::uint64_t
 Wave::beginInstr()
 {
     gpu_.preInstruction(time_);
+    // pc_ counts issued operations; identical kernels give every
+    // wave the same pc sequence, making (kernel, pc) a *static*
+    // instruction identity.
+    tag_ = gpu_.tagging() ? makeInstrTag(gpu_.kernelId(), pc_)
+                          : noInstrTag;
     ++pc_;
-}
-
-InstrTag
-Wave::currentTag() const
-{
-    // pc_ counts issued operations, so the op in flight is pc_ - 1;
-    // identical kernels give every wave the same pc sequence, making
-    // (kernel, pc) a *static* instruction identity.
-    if (!gpu_.tagging())
-        return noInstrTag;
-    return makeInstrTag(gpu_.kernelId(), pc_ - 1);
+    return execStack_.back();
 }
 
 Addr
@@ -113,133 +103,109 @@ Wave::checkReg(unsigned reg) const
                 " out of range (", gpu_.config().regs.numRegs, ")");
 }
 
-Value
-Wave::readReg(unsigned lane, unsigned reg, std::uint32_t consume,
-              DefId def, bool exact)
+inline void
+Wave::noteRead(unsigned lane, unsigned reg, std::uint32_t consume,
+               DefId def, bool exact)
 {
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    if (gpu_.tracking())
-        rf.noteRead(slot_, reg, lane, laneTime(lane), consume, def,
-                    exact);
-    return rf.get(slot_, reg, lane);
+    rf_.noteRead(slot_, reg, lane, laneTime(lane), consume, def, exact);
 }
 
-void
+inline void
 Wave::writeReg(unsigned lane, unsigned reg, const Value &value)
 {
-    gpu_.regFile(cu_).set(slot_, reg, lane, value, laneTime(lane),
-                          currentTag());
+    rf_.set(slot_, reg, lane, value, laneTime(lane), tag_);
 }
 
+// Every op below has the same shape: check its registers, begin the
+// instruction once, then walk the active lanes. Tracking is a branch
+// inside the lane loop, not a second interpreter: the untracked path
+// (campaign trials, golden runs) skips the dataflow records and read
+// events and executes exactly the same values, writes and accesses.
+
+template <class Fn, class RelA, class RelB>
 void
 Wave::binaryOp(unsigned dst, unsigned a, unsigned b, bool bitwise,
-               BinFn fn, RelFn rel_a, RelFn rel_b)
+               Fn fn, RelA rel_a, RelB rel_b)
 {
     checkReg(dst);
     checkReg(a);
     checkReg(b);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
     const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, a, lane);
-        const Value vb = rf.get(slot_, b, lane);
-        const std::uint32_t ra = rel_a(va.bits, vb.bits);
-        const std::uint32_t rb = rel_b(vb.bits, va.bits);
-        Value out;
-        out.bits = fn(va.bits, vb.bits);
+    forEachLane(beginInstr(), [&](unsigned lane) {
+        const Value va = rf_.get(slot_, a, lane);
+        const Value vb = rf_.get(slot_, b, lane);
+        Value out{fn(va.bits, vb.bits), noDef};
         if (tracking) {
+            const std::uint32_t ra = rel_a(va.bits, vb.bits);
+            const std::uint32_t rb = rel_b(vb.bits, va.bits);
             std::array<SrcUse, 2> srcs{
                 SrcUse{va.def, ra, bitwise},
                 SrcUse{vb.def, rb, bitwise}};
-            out.def = gpu_.dataflow().record(srcs, currentTag());
+            out.def = gpu_.dataflow().record(srcs, tag_);
+            // The register file reads both operands regardless of
+            // relevance; zero-relevance reads are pure array reads.
+            noteRead(lane, a, ra, out.def, bitwise);
+            noteRead(lane, b, rb, out.def, bitwise);
         }
-        // The register file reads both operands regardless of
-        // relevance; zero-relevance reads are pure array reads.
-        readReg(lane, a, ra, out.def, bitwise);
-        readReg(lane, b, rb, out.def, bitwise);
         writeReg(lane, dst, out);
-    }
+    });
     time_ += gpu_.config().aluCycles;
 }
 
+template <class Fn>
 void
 Wave::immOp(unsigned dst, unsigned a, std::uint32_t imm, bool bitwise,
-            BinFn fn, std::uint32_t relevance)
+            Fn fn, std::uint32_t relevance)
 {
     checkReg(dst);
     checkReg(a);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
     const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, a, lane);
-        Value out;
-        out.bits = fn(va.bits, imm);
+    forEachLane(beginInstr(), [&](unsigned lane) {
+        const Value va = rf_.get(slot_, a, lane);
+        Value out{fn(va.bits, imm), noDef};
         if (tracking) {
             std::array<SrcUse, 1> srcs{
                 SrcUse{va.def, relevance, bitwise}};
-            out.def = gpu_.dataflow().record(srcs, currentTag());
+            out.def = gpu_.dataflow().record(srcs, tag_);
+            noteRead(lane, a, relevance, out.def, bitwise);
         }
-        readReg(lane, a, relevance, out.def, bitwise);
         writeReg(lane, dst, out);
-    }
+    });
+    time_ += gpu_.config().aluCycles;
+}
+
+template <class ValueFn>
+void
+Wave::sourceOp(unsigned dst, ValueFn value)
+{
+    checkReg(dst);
+    const bool tracking = gpu_.tracking();
+    forEachLane(beginInstr(), [&](unsigned lane) {
+        Value out{value(lane), noDef};
+        if (tracking)
+            out.def = gpu_.dataflow().record({}, tag_);
+        writeReg(lane, dst, out);
+    });
     time_ += gpu_.config().aluCycles;
 }
 
 void
 Wave::movi(unsigned dst, std::uint32_t imm)
 {
-    checkReg(dst);
-    beginInstr();
-    const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        Value out{imm, noDef};
-        if (tracking)
-            out.def = gpu_.dataflow().record({}, currentTag());
-        writeReg(lane, dst, out);
-    }
-    time_ += gpu_.config().aluCycles;
+    sourceOp(dst, [imm](unsigned) { return imm; });
 }
 
 void
 Wave::globalId(unsigned dst)
 {
-    checkReg(dst);
-    beginInstr();
-    const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        Value out{waveId_ * laneCount() + lane, noDef};
-        if (tracking)
-            out.def = gpu_.dataflow().record({}, currentTag());
-        writeReg(lane, dst, out);
-    }
-    time_ += gpu_.config().aluCycles;
+    const std::uint32_t base = waveId_ * lanes_;
+    sourceOp(dst, [base](unsigned lane) { return base + lane; });
 }
 
 void
 Wave::laneIdx(unsigned dst)
 {
-    checkReg(dst);
-    beginInstr();
-    const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        Value out{lane, noDef};
-        if (tracking)
-            out.def = gpu_.dataflow().record({}, currentTag());
-        writeReg(lane, dst, out);
-    }
-    time_ += gpu_.config().aluCycles;
+    sourceOp(dst, [](unsigned lane) { return std::uint32_t(lane); });
 }
 
 void
@@ -280,30 +246,25 @@ Wave::mad(unsigned dst, unsigned a, unsigned b, unsigned c)
     checkReg(a);
     checkReg(b);
     checkReg(c);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
     const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, a, lane);
-        const Value vb = rf.get(slot_, b, lane);
-        const Value vc = rf.get(slot_, c, lane);
-        const std::uint32_t ra = relMul(va.bits, vb.bits);
-        const std::uint32_t rb = relMul(vb.bits, va.bits);
-        Value out;
-        out.bits = va.bits * vb.bits + vc.bits;
+    forEachLane(beginInstr(), [&](unsigned lane) {
+        const Value va = rf_.get(slot_, a, lane);
+        const Value vb = rf_.get(slot_, b, lane);
+        const Value vc = rf_.get(slot_, c, lane);
+        Value out{va.bits * vb.bits + vc.bits, noDef};
         if (tracking) {
+            const std::uint32_t ra = relMul(va.bits, vb.bits);
+            const std::uint32_t rb = relMul(vb.bits, va.bits);
             std::array<SrcUse, 3> srcs{
                 SrcUse{va.def, ra, false}, SrcUse{vb.def, rb, false},
                 SrcUse{vc.def, allBits, false}};
-            out.def = gpu_.dataflow().record(srcs, currentTag());
+            out.def = gpu_.dataflow().record(srcs, tag_);
+            noteRead(lane, a, ra, out.def, false);
+            noteRead(lane, b, rb, out.def, false);
+            noteRead(lane, c, allBits, out.def, false);
         }
-        readReg(lane, a, ra, out.def, false);
-        readReg(lane, b, rb, out.def, false);
-        readReg(lane, c, allBits, out.def, false);
         writeReg(lane, dst, out);
-    }
+    });
     time_ += gpu_.config().aluCycles;
 }
 
@@ -482,29 +443,26 @@ Wave::select(unsigned dst, unsigned pred, unsigned a, unsigned b)
     checkReg(pred);
     checkReg(a);
     checkReg(b);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
     const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value vp = rf.get(slot_, pred, lane);
+    forEachLane(beginInstr(), [&](unsigned lane) {
+        const Value vp = rf_.get(slot_, pred, lane);
         const bool taken_a = vp.bits != 0;
-        const Value vt = rf.get(slot_, taken_a ? a : b, lane);
+        const Value vt = rf_.get(slot_, taken_a ? a : b, lane);
         Value out{vt.bits, noDef};
         if (tracking) {
             std::array<SrcUse, 2> srcs{
                 SrcUse{vp.def, allBits, false},
                 SrcUse{vt.def, allBits, false}};
-            out.def = gpu_.dataflow().record(srcs, currentTag());
+            out.def = gpu_.dataflow().record(srcs, tag_);
+            noteRead(lane, pred, allBits, out.def, false);
+            // The taken operand is consumed; the untaken one is
+            // still read out of the array (a pure read — logic
+            // masking).
+            noteRead(lane, taken_a ? a : b, allBits, out.def, false);
+            noteRead(lane, taken_a ? b : a, 0, noDef, false);
         }
-        readReg(lane, pred, allBits, out.def, false);
-        // The taken operand is consumed; the untaken one is still
-        // read out of the array (a pure read — logic masking).
-        readReg(lane, taken_a ? a : b, allBits, out.def, false);
-        readReg(lane, taken_a ? b : a, 0, noDef, false);
         writeReg(lane, dst, out);
-    }
+    });
     time_ += gpu_.config().aluCycles;
 }
 
@@ -513,21 +471,14 @@ Wave::load(unsigned dst, unsigned addr, std::uint32_t offset)
 {
     checkReg(dst);
     checkReg(addr);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
     MainMemory &mem = gpu_.mem();
-    Cache &l1 = gpu_.l1(cu_);
     const bool tracking = gpu_.tracking();
     Cycle done = time_ + gpu_.config().aluCycles;
-
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, addr, lane);
+    forEachLane(beginInstr(), [&](unsigned lane) {
+        const Value va = rf_.get(slot_, addr, lane);
         const Addr ea = dataAddr(va.bits + offset);
 
-        Value out;
-        out.bits = mem.read32(ea);
+        Value out{mem.read32(ea), noDef};
         if (tracking) {
             // Sources: the producing defs of the four bytes, with
             // positional relevance; bit-exact only when fully aligned
@@ -560,150 +511,100 @@ Wave::load(unsigned dst, unsigned addr, std::uint32_t offset)
             if (nsrcs < DataflowLog::maxSrcs)
                 srcs[nsrcs++] = {va.def, allBits, false};
             out.def = gpu_.dataflow().record(
-                std::span<const SrcUse>(srcs.data(), nsrcs),
-                currentTag());
+                std::span<const SrcUse>(srcs.data(), nsrcs), tag_);
             gpu_.refIndex().addLoad(ea, 4, laneTime(lane), out.def);
+            // Address consumption: dead iff the load itself is dead.
+            noteRead(lane, addr, allBits, out.def, false);
         }
 
-        // Address consumption: dead iff the load itself is dead.
-        readReg(lane, addr, allBits, out.def, false);
-
         MemRequest req{ea, 4, MemCmd::Read, out.def};
-        done = std::max(done, l1.access(req, laneTime(lane)));
+        done = std::max(done, l1_.access(req, laneTime(lane)));
         writeReg(lane, dst, out);
-    }
+    });
     time_ = done;
 }
 
 void
 Wave::store(unsigned addr, unsigned src, std::uint32_t offset)
 {
+    storeImpl(addr, src, offset, false);
+}
+
+void
+Wave::storeOut(unsigned addr, unsigned src, std::uint32_t offset)
+{
+    storeImpl(addr, src, offset, true);
+}
+
+void
+Wave::storeImpl(unsigned addr, unsigned src, std::uint32_t offset,
+                bool output)
+{
     checkReg(addr);
     checkReg(src);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
     MainMemory &mem = gpu_.mem();
-    Cache &l1 = gpu_.l1(cu_);
     const bool tracking = gpu_.tracking();
     Cycle done = time_ + gpu_.config().aluCycles;
-
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, addr, lane);
-        const Value vs = rf.get(slot_, src, lane);
+    forEachLane(beginInstr(), [&](unsigned lane) {
+        const Value va = rf_.get(slot_, addr, lane);
+        const Value vs = rf_.get(slot_, src, lane);
         const Addr ea = dataAddr(va.bits + offset);
 
         DefId store_def = noDef;
         if (tracking) {
             std::array<SrcUse, 1> srcs{SrcUse{vs.def, allBits, true}};
-            store_def = gpu_.dataflow().record(srcs, currentTag());
+            store_def = gpu_.dataflow().record(srcs, tag_);
+            if (output)
+                gpu_.dataflow().markOutput(store_def);
             gpu_.refIndex().addStore(ea, 4, laneTime(lane));
             // A corrupt store address clobbers arbitrary state: the
             // whole address chain is conservatively live.
             std::array<SrcUse, 1> asrc{SrcUse{va.def, allBits, false}};
             DefId anchor = gpu_.dataflow().record(asrc);
             gpu_.dataflow().markOutput(anchor);
+            noteRead(lane, addr, allBits, noDef, false);
+            noteRead(lane, src, allBits, store_def, true);
         }
 
-        readReg(lane, addr, allBits, noDef, false);
-        readReg(lane, src, allBits, store_def, true);
-
-        MemRequest req{ea, 4, MemCmd::Write, noDef, currentTag()};
-        done = std::max(done, l1.access(req, laneTime(lane)));
+        MemRequest req{ea, 4, MemCmd::Write, noDef, tag_};
+        done = std::max(done, l1_.access(req, laneTime(lane)));
         mem.write32(ea, vs.bits);
         mem.setOrigin(ea, 4, store_def);
-    }
-    time_ = done;
-}
-
-void
-Wave::storeOut(unsigned addr, unsigned src, std::uint32_t offset)
-{
-    checkReg(addr);
-    checkReg(src);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    MainMemory &mem = gpu_.mem();
-    Cache &l1 = gpu_.l1(cu_);
-    const bool tracking = gpu_.tracking();
-    Cycle done = time_ + gpu_.config().aluCycles;
-
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, addr, lane);
-        const Value vs = rf.get(slot_, src, lane);
-        const Addr ea = dataAddr(va.bits + offset);
-
-        DefId store_def = noDef;
-        if (tracking) {
-            std::array<SrcUse, 1> srcs{SrcUse{vs.def, allBits, true}};
-            store_def = gpu_.dataflow().record(srcs, currentTag());
-            gpu_.dataflow().markOutput(store_def);
-            gpu_.refIndex().addStore(ea, 4, laneTime(lane));
-            std::array<SrcUse, 1> asrc{SrcUse{va.def, allBits, false}};
-            DefId anchor = gpu_.dataflow().record(asrc);
-            gpu_.dataflow().markOutput(anchor);
-        }
-
-        readReg(lane, addr, allBits, noDef, false);
-        readReg(lane, src, allBits, store_def, true);
-
-        MemRequest req{ea, 4, MemCmd::Write, noDef, currentTag()};
-        done = std::max(done, l1.access(req, laneTime(lane)));
-        mem.write32(ea, vs.bits);
-        mem.setOrigin(ea, 4, store_def);
-    }
+    });
     time_ = done;
 }
 
 void
 Wave::pushExecNonzero(unsigned cond)
 {
-    checkReg(cond);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    std::uint64_t mask = 0;
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value vc = rf.get(slot_, cond, lane);
-        // Control consumption is conservatively always live: anchor
-        // the condition's whole producing chain.
-        if (gpu_.tracking()) {
-            std::array<SrcUse, 1> csrc{SrcUse{vc.def, allBits, false}};
-            DefId anchor = gpu_.dataflow().record(csrc);
-            gpu_.dataflow().markOutput(anchor);
-        }
-        readReg(lane, cond, allBits, noDef, false);
-        if (vc.bits != 0)
-            mask |= std::uint64_t(1) << lane;
-    }
-    execStack_.push_back(mask);
-    time_ += gpu_.config().aluCycles;
+    pushExec(cond, true);
 }
 
 void
 Wave::pushExecZero(unsigned cond)
 {
+    pushExec(cond, false);
+}
+
+void
+Wave::pushExec(unsigned cond, bool nonzero)
+{
     checkReg(cond);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
+    const bool tracking = gpu_.tracking();
     std::uint64_t mask = 0;
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value vc = rf.get(slot_, cond, lane);
-        if (gpu_.tracking()) {
+    forEachLane(beginInstr(), [&](unsigned lane) {
+        const Value vc = rf_.get(slot_, cond, lane);
+        if (tracking) {
+            // Control consumption is conservatively always live:
+            // anchor the condition's whole producing chain.
             std::array<SrcUse, 1> csrc{SrcUse{vc.def, allBits, false}};
             DefId anchor = gpu_.dataflow().record(csrc);
             gpu_.dataflow().markOutput(anchor);
+            noteRead(lane, cond, allBits, noDef, false);
         }
-        readReg(lane, cond, allBits, noDef, false);
-        if (vc.bits == 0)
+        if ((vc.bits != 0) == nonzero)
             mask |= std::uint64_t(1) << lane;
-    }
+    });
     execStack_.push_back(mask);
     time_ += gpu_.config().aluCycles;
 }
@@ -720,13 +621,13 @@ Wave::popExec()
 bool
 Wave::anyActive() const
 {
-    return activeMask() != 0;
+    return execStack_.back() != 0;
 }
 
 std::uint32_t
 Wave::peek(unsigned reg, unsigned lane) const
 {
-    return gpu_.regFile(cu_).get(slot_, reg, lane).bits;
+    return rf_.get(slot_, reg, lane).bits;
 }
 
 } // namespace mbavf

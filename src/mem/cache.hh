@@ -182,7 +182,7 @@ struct CacheStats
  * Blocking set-associative cache with true-LRU replacement,
  * write-back write-allocate policy, and byte-granular dirty tracking.
  */
-class Cache : public MemLevel
+class Cache final : public MemLevel
 {
   public:
     Cache(const CacheParams &params, MemLevel &next);
@@ -220,9 +220,25 @@ class Cache : public MemLevel
         return lines_[std::size_t(set) * params_.ways + way];
     }
 
-    unsigned setOf(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Addr lineAddrOf(Addr addr) const;
+    // The geometry is a power of two in sets and line size, so the
+    // address split is shifts and masks (precomputed at
+    // construction), not divisions.
+    unsigned
+    setOf(Addr addr) const
+    {
+        return static_cast<unsigned>((addr >> lineShift_) & setMask_);
+    }
+
+    Addr tagOf(Addr addr) const { return addr >> tagShift_; }
+
+    Addr lineAddrOf(Addr addr) const { return addr & ~offsetMask_; }
+
+    /** Base address of the line holding @p tag in @p set. */
+    Addr
+    lineAddrAt(Addr tag, unsigned set) const
+    {
+        return (tag << tagShift_) | (Addr(set) << lineShift_);
+    }
 
     /** Find the hit way, or -1. */
     int findWay(unsigned set, Addr tag) const;
@@ -233,6 +249,10 @@ class Cache : public MemLevel
     CacheParams params_;
     MemLevel &next_;
     CacheListener *listener_ = nullptr;
+    unsigned lineShift_ = 0; ///< log2(lineBytes)
+    unsigned tagShift_ = 0;  ///< log2(lineBytes * sets)
+    Addr setMask_ = 0;       ///< sets - 1
+    Addr offsetMask_ = 0;    ///< lineBytes - 1
     std::vector<Line> lines_;
     CacheStats stats_;
     std::uint64_t lruCounter_ = 0;

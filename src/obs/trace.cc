@@ -30,9 +30,8 @@ struct TraceEvent
 
 /**
  * Per-thread event buffer, registered with the global list on first
- * use. Buffers are never deallocated before process exit (thread
- * destructors only mark them quiescent), so the writer can snapshot
- * from any thread.
+ * use. Buffers outlive their threads (the collector owns them), so
+ * the writer can snapshot from any thread.
  */
 struct Buffer
 {
@@ -43,7 +42,7 @@ struct Buffer
 struct Collector
 {
     std::mutex mutex;
-    std::vector<Buffer *> buffers; // leaked on purpose: see Buffer
+    std::vector<Buffer *> buffers; ///< owned, never freed
     std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
 };
@@ -51,8 +50,11 @@ struct Collector
 Collector &
 collector()
 {
-    static Collector instance;
-    return instance;
+    // Never destroyed: a pool thread may still trace while statics
+    // are torn down, and at exit LeakSanitizer must still reach every
+    // buffer from a root (this pointer) after the threads are gone.
+    static Collector *const instance = new Collector();
+    return *instance;
 }
 
 Buffer &

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "common/trap.hh"
 #include "mem/memory.hh"
 #include "mem/ref_index.hh"
@@ -49,6 +53,78 @@ TEST(MainMemory, OutOfRangeTraps)
         EXPECT_EQ(trap.code(), trapcode::memOob);
         EXPECT_NE(std::string(trap.what()).find("out of range"),
                   std::string::npos);
+    }
+}
+
+TEST(MainMemory, NeverWrittenReadsZero)
+{
+    // Fresh device memory reads as zero everywhere in range, also
+    // on pages nothing has touched, and next to a written word.
+    const std::uint64_t size = std::uint64_t(4) << 20;
+    MainMemory mem(size);
+    mem.write32(4096, 0xFFFFFFFF);
+    for (Addr a : {Addr(0), Addr(4092), Addr(4100), Addr(size / 2),
+                   size - 4}) {
+        EXPECT_EQ(mem.read32(a), 0u) << a;
+        EXPECT_EQ(mem.read8(a + 3), 0u) << a;
+    }
+    std::vector<std::uint8_t> block;
+    mem.readBlock(size - 8192, 8192, block);
+    ASSERT_EQ(block.size(), 8192u);
+    EXPECT_EQ(std::count(block.begin(), block.end(), 0), 8192);
+}
+
+TEST(MainMemory, LastWordRoundTrips)
+{
+    const std::uint64_t size = std::uint64_t(4) << 20;
+    MainMemory mem(size);
+    mem.write32(size - 4, 0xA1B2C3D4);
+    EXPECT_EQ(mem.read32(size - 4), 0xA1B2C3D4u);
+    EXPECT_EQ(mem.read8(size - 1), 0xA1u);
+    mem.write8(size - 1, 0x5A);
+    EXPECT_EQ(mem.read32(size - 4), 0x5AB2C3D4u);
+    std::vector<std::uint8_t> block;
+    mem.readBlock(size - 4, 4, block);
+    EXPECT_EQ(block, (std::vector<std::uint8_t>{0xD4, 0xC3, 0xB2, 0x5A}));
+}
+
+TEST(MainMemory, AccessAtSizeTraps)
+{
+    const std::uint64_t size = std::uint64_t(4) << 20;
+    MainMemory mem(size);
+    std::vector<std::uint8_t> block;
+    auto expectOob = [](const std::function<void()> &access) {
+        try {
+            access();
+            ADD_FAILURE() << "access at the memory size did not trap";
+        } catch (const SimTrap &trap) {
+            EXPECT_EQ(trap.code(), trapcode::memOob);
+        }
+    };
+    expectOob([&] { mem.read8(size); });
+    expectOob([&] { mem.read32(size); });
+    expectOob([&] { mem.read32(size - 2); });
+    expectOob([&] { mem.write8(size, 1); });
+    expectOob([&] { mem.write32(size, 1); });
+    expectOob([&] { mem.readBlock(size, 1, block); });
+    expectOob([&] { mem.readBlock(size - 4, 8, block); });
+    expectOob([&] { mem.origin(size); });
+    expectOob([&] { mem.setOrigin(size, 4, 7); });
+    EXPECT_TRUE(block.empty());
+}
+
+TEST(MainMemory, ManyDevicesBuildAndDestroy)
+{
+    // Each device maps its own address space and touches a page of
+    // it; under the ASan flavor a leaked or double-released mapping
+    // shows up as a leak report or a crash.
+    const std::uint64_t size = std::uint64_t(4) << 20;
+    for (unsigned i = 0; i < 500; ++i) {
+        MainMemory mem(size);
+        const Addr a = mem.alloc(64);
+        EXPECT_EQ(mem.read32(a), 0u);
+        mem.write32(a, i);
+        EXPECT_EQ(mem.read32(a), i);
     }
 }
 
