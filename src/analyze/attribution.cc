@@ -3,38 +3,33 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "common/bits.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
-#include "core/mbavf_kernel.hh"
+#include "core/group_sweep.hh"
 
 namespace mbavf::analyze
 {
 
-using detail::classifyRegion;
-using detail::combineOutcomes;
-using detail::maxModeBits;
-
 namespace
 {
 
-/** Resolved view of one member bit of a fault group. */
-struct MemberBit
-{
-    const WordLifetime *life = nullptr; ///< null = always Unace
-    unsigned bitInWord = 0;
-    DomainId domain = invalidDomain;
-};
-
-/** Per-band charge accumulator: tag -> per-class group-cycles. */
+/**
+ * Group-sweep sink (core/group_sweep.hh) that charges every
+ * non-unACE slice, whole, to the tag of the charged member's segment:
+ * tag -> per-class group-cycles.
+ */
 struct TagAccumulator
 {
     std::unordered_map<InstrTag, std::array<Cycle, 3>> cycles;
 
+    template <typename Charged>
     void
-    add(InstrTag tag, unsigned idx, Cycle amount)
+    add(Outcome outcome, Cycle begin, Cycle end, const Charged &charged)
     {
-        cycles[tag][idx] += amount;
+        if (outcome == Outcome::Unace)
+            return;
+        const unsigned idx =
+            detail::OutcomeAccumulator::classIndex(outcome);
+        cycles[charged(outcome).tag][idx] += end - begin;
     }
 
     /**
@@ -54,163 +49,6 @@ struct TagAccumulator
     }
 };
 
-/** Per-group sweep state shared across anchors to avoid reallocation. */
-struct SweepScratch
-{
-    std::vector<Cycle> boundaries;
-};
-
-/**
- * Sweep one fault group exactly like core/mbavf.cc's sweepGroup —
- * same region discovery, same word dedup, same elementary slices —
- * and charge every non-unACE slice to one member's segment tag per
- * the rule in the header comment.
- */
-void
-sweepGroupAttributed(std::vector<MemberBit> &members,
-                     const ProtectionScheme &scheme, Cycle horizon,
-                     bool due_shields_sdc, SweepScratch &scratch,
-                     TagAccumulator &acc)
-{
-    std::array<DomainId, maxModeBits> domains;
-    std::array<FaultAction, maxModeBits> actions;
-    std::array<unsigned, maxModeBits> regionOf;
-    unsigned num_regions = 0;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        unsigned r = 0;
-        for (; r < num_regions; ++r) {
-            if (domains[r] == members[i].domain)
-                break;
-        }
-        if (r == num_regions)
-            domains[num_regions++] = members[i].domain;
-        regionOf[i] = r;
-    }
-    std::array<unsigned, maxModeBits> region_size{};
-    for (std::size_t i = 0; i < members.size(); ++i)
-        ++region_size[regionOf[i]];
-    for (unsigned r = 0; r < num_regions; ++r)
-        actions[r] = scheme.action(region_size[r]);
-
-    std::array<const WordLifetime *, maxModeBits> words;
-    std::array<std::size_t, maxModeBits> cursors{};
-    std::array<unsigned, maxModeBits> wordOf;
-    unsigned num_words = 0;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        if (!members[i].life) {
-            wordOf[i] = maxModeBits; // sentinel: always Unace
-            continue;
-        }
-        unsigned w = 0;
-        for (; w < num_words; ++w) {
-            if (words[w] == members[i].life)
-                break;
-        }
-        if (w == num_words)
-            words[num_words++] = members[i].life;
-        wordOf[i] = w;
-    }
-    if (num_words == 0)
-        return; // every bit Unace for the whole horizon
-
-    auto &bounds = scratch.boundaries;
-    bounds.clear();
-    for (unsigned w = 0; w < num_words; ++w) {
-        for (const LifeSegment &s : words[w]->segments()) {
-            if (s.begin >= horizon)
-                break;
-            bounds.push_back(s.begin);
-            bounds.push_back(std::min(s.end, horizon));
-        }
-    }
-    if (bounds.empty())
-        return;
-    std::sort(bounds.begin(), bounds.end());
-    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
-
-    // Per slice, besides the per-region live/read flags, remember the
-    // first member (pattern-offset order) of each charge class; the
-    // group outcome then picks which one the slice is charged to.
-    constexpr std::size_t noMember = ~std::size_t(0);
-    std::array<const LifeSegment *, maxModeBits> active;
-    std::array<bool, maxModeBits> region_live;
-    std::array<bool, maxModeBits> region_read;
-    Cycle prev = bounds.front();
-    for (std::size_t bi = 1; bi < bounds.size(); ++bi) {
-        Cycle next = bounds[bi];
-
-        for (unsigned w = 0; w < num_words; ++w) {
-            const auto &segs = words[w]->segments();
-            std::size_t &cur = cursors[w];
-            while (cur < segs.size() && segs[cur].end <= prev)
-                ++cur;
-            active[w] = (cur < segs.size() && segs[cur].begin <= prev)
-                ? &segs[cur]
-                : nullptr;
-        }
-
-        for (unsigned r = 0; r < num_regions; ++r) {
-            region_live[r] = false;
-            region_read[r] = false;
-        }
-        std::size_t first_sdc = noMember;
-        std::size_t first_tdue = noMember;
-        std::size_t first_fdue = noMember;
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            if (wordOf[i] == maxModeBits)
-                continue;
-            const LifeSegment *s = active[wordOf[i]];
-            if (!s)
-                continue;
-            unsigned r = regionOf[i];
-            if (bitAt(s->aceMask, members[i].bitInWord)) {
-                region_live[r] = true;
-                if (actions[r] == FaultAction::Undetected &&
-                    first_sdc == noMember) {
-                    first_sdc = i;
-                } else if (actions[r] == FaultAction::Detected &&
-                           first_tdue == noMember) {
-                    first_tdue = i;
-                }
-            } else if (bitAt(s->readMask, members[i].bitInWord)) {
-                region_read[r] = true;
-                if (actions[r] == FaultAction::Detected &&
-                    first_fdue == noMember) {
-                    first_fdue = i;
-                }
-            }
-        }
-
-        bool has_sdc = false, has_tdue = false, has_fdue = false;
-        for (unsigned r = 0; r < num_regions; ++r) {
-            Outcome o = classifyRegion(actions[r], region_live[r],
-                                       region_live[r] || region_read[r]);
-            has_sdc |= o == Outcome::Sdc;
-            has_tdue |= o == Outcome::TrueDue;
-            has_fdue |= o == Outcome::FalseDue;
-        }
-        const Outcome outcome = combineOutcomes(
-            has_sdc, has_tdue, has_fdue, due_shields_sdc);
-        if (outcome != Outcome::Unace) {
-            // A group outcome of class X implies a member of charge
-            // class X exists: classifyRegion only emits X when some
-            // member bit of that region carries the matching mask.
-            std::size_t charged;
-            switch (outcome) {
-              case Outcome::Sdc: charged = first_sdc; break;
-              case Outcome::TrueDue: charged = first_tdue; break;
-              default: charged = first_fdue; break;
-            }
-            if (charged == noMember)
-                panic("attribution: outcome with no charged member");
-            acc.add(active[wordOf[charged]]->tag,
-                    detail::OutcomeAccumulator::classIndex(outcome),
-                    next - prev);
-        }
-        prev = next;
-    }
-}
-
 } // namespace
 
 double
@@ -229,81 +67,15 @@ attributeMbAvf(const PhysicalArray &array, const LifetimeStore &store,
 {
     if (opt.horizon == 0)
         fatal("attribution horizon must be nonzero");
-    if (mode.size() > maxModeBits)
-        fatal("fault mode larger than ", maxModeBits, " bits");
-
-    const std::uint64_t rows = array.rows();
-    const std::uint64_t cols = array.cols();
-    const std::uint64_t span_r =
-        static_cast<std::uint64_t>(mode.maxDRow()) + 1;
-    const std::uint64_t span_c =
-        static_cast<std::uint64_t>(mode.maxDCol()) + 1;
+    if (mode.size() > detail::maxModeBits)
+        fatal("fault mode larger than ", detail::maxModeBits, " bits");
 
     AttributionResult result;
     result.horizon = opt.horizon;
-    result.numGroups = mode.numGroups(rows, cols);
-    if (span_r > rows || span_c > cols || result.numGroups == 0)
-        return result;
-
-    auto sweep_rows = [&](std::uint64_t row_begin,
-                          std::uint64_t row_end, TagAccumulator &out) {
-        SweepScratch scratch;
-        std::vector<MemberBit> row_cache;
-        std::vector<MemberBit> members(mode.size());
-
-        for (std::uint64_t r = row_begin; r < row_end; ++r) {
-            row_cache.assign(std::size_t(span_r) * cols, MemberBit{});
-            for (std::uint64_t dr = 0; dr < span_r; ++dr) {
-                for (std::uint64_t c = 0; c < cols; ++c) {
-                    PhysBit pb = array.at(r + dr, c);
-                    MemberBit &m = row_cache[dr * cols + c];
-                    m.domain = pb.domain;
-                    m.life = store.findBit(pb.container,
-                                           pb.bitInContainer,
-                                           m.bitInWord);
-                }
-            }
-
-            for (std::uint64_t c = 0; c + span_c <= cols; ++c) {
-                bool any_life = false;
-                for (unsigned i = 0; i < mode.size(); ++i) {
-                    const PatternOffset &o = mode.offsets()[i];
-                    members[i] =
-                        row_cache[std::size_t(o.dRow) * cols + c +
-                                  static_cast<std::uint64_t>(o.dCol)];
-                    any_life |= members[i].life != nullptr;
-                }
-                if (!any_life)
-                    continue;
-                sweepGroupAttributed(members, scheme, opt.horizon,
-                                     opt.dueShieldsSdc, scratch, out);
-            }
-        }
-    };
-
-    const std::uint64_t anchor_rows = rows - span_r + 1;
-
-    TagAccumulator acc;
-    if (opt.numThreads == 1) {
-        sweep_rows(0, anchor_rows, acc);
-    } else {
-        // Same band partition as computeMbAvf: granularity depends
-        // only on the range, and the per-tag integer sums make the
-        // merge order immaterial — bit-identical at any pool width.
-        ensureParallelThreads(opt.numThreads);
-        const std::uint64_t grain =
-            std::max<std::uint64_t>(1, anchor_rows / 64);
-        acc = mapReduce(
-            std::uint64_t(0), anchor_rows, grain, TagAccumulator{},
-            [&](std::uint64_t lo, std::uint64_t hi) {
-                TagAccumulator part;
-                sweep_rows(lo, hi, part);
-                return part;
-            },
-            [](TagAccumulator &into, TagAccumulator &&part) {
-                into.mergeFrom(part);
-            });
-    }
+    result.numGroups = mode.numGroups(array.rows(), array.cols());
+    const TagAccumulator acc = detail::sweepAnchorRows(
+        array, store, scheme, mode, opt, TagAccumulator{},
+        obs::Counter{});
 
     result.perTag.reserve(acc.cycles.size());
     for (const auto &[tag, c] : acc.cycles) {

@@ -5,14 +5,16 @@
  *
  * computeMbAvf() answers "how vulnerable is this structure"; the
  * attribution engine answers "which instruction's data is at risk".
- * attributeMbAvf() re-runs the same group sweep over the same
- * elementary time slices, but instead of only accumulating each
- * non-unACE slice into a class total it also charges the slice —
- * whole, to exactly one member bit's defining instruction (the
- * InstrTag carried on the member's active LifeSegment). Charging is
- * a partition of the slice integral, so per-tag integer group-cycle
- * sums add up to computeMbAvf()'s raw totals *exactly*, per outcome
- * class, and checkConservation() asserts that equality bit-for-bit.
+ * attributeMbAvf() is the second instantiation of the reference
+ * group sweep (core/group_sweep.hh): the same code produces the same
+ * elementary time slices and outcomes, but its sink charges each
+ * non-unACE slice — whole — to exactly one member bit's defining
+ * instruction (the InstrTag carried on the member's active
+ * LifeSegment) instead of only adding it to a class total. Charging
+ * is a partition of the slice integral, so per-tag integer
+ * group-cycle sums add up to computeMbAvf()'s raw totals *exactly*,
+ * per outcome class, by construction; checkConservation() asserts
+ * that equality bit-for-bit.
  *
  * The charge rule is deterministic and causal: the charged member is
  * the first member in pattern-offset order that exhibits the group's
@@ -26,10 +28,9 @@
  * - false DUE: first read-shadowed member bit in a Detected region
  *   (the dead-but-read data whose flip would still trip detection).
  *
- * The sweep parallelizes exactly like computeMbAvf(): anchor-row
- * bands of thread-count-independent granularity whose per-tag
- * partial sums are plain integer additions, so results are
- * bit-identical at any --threads.
+ * The shared anchor-row driver runs the same thread-count-independent
+ * row bands as computeMbAvf(), and per-tag partial sums are plain
+ * integer additions, so results are bit-identical at any --threads.
  */
 
 #ifndef MBAVF_ANALYZE_ATTRIBUTION_HH

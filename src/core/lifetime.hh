@@ -62,9 +62,9 @@ class WordLifetime
     void append(const LifeSegment &seg);
 
     /**
-     * Append without precondition checks. Only for deserialization
-     * and lint paths that must be able to materialize malformed
-     * data for inspection; everything else uses append().
+     * Append without precondition checks. Only for lint paths and
+     * their tests, which must be able to materialize malformed data
+     * for inspection; everything else uses append().
      */
     void appendUnchecked(const LifeSegment &seg)
     {

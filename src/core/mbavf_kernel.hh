@@ -98,6 +98,15 @@ class OutcomeAccumulator
 
     void add(Outcome outcome, Cycle begin, Cycle end);
 
+    /** Group-sweep sink entry (core/group_sweep.hh): class totals
+     *  never look up the charged member. */
+    template <typename Charged>
+    void
+    add(Outcome outcome, Cycle begin, Cycle end, const Charged &)
+    {
+        add(outcome, begin, end);
+    }
+
     /**
      * Raw deposits for kernels that accumulate class/window time in
      * flat local tensors and fold once at the end (the AVX2 kernel):

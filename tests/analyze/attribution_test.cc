@@ -106,11 +106,14 @@ TEST(Attribution, SdcChargesDefiningInstruction)
 {
     // Two bits in one parity domain, mode 2x1: an even flip count is
     // undetected, so the ACE time of bit 0's only segment is pure SDC
-    // and must be charged — whole — to that segment's tag.
+    // and must be charged — whole — to that segment's tag. Bit 1 is
+    // live over the same span under another tag; the charge rule
+    // picks the first member in pattern-offset order, never it.
     FlatArray array(2, 2);
     LifetimeStore store(1, 1);
     const InstrTag tag = makeInstrTag(2, 9);
     store.container(0).words[0].append({0, 10, 1, 1, tag});
+    store.container(1).words[0].append({0, 10, 1, 1, makeInstrTag(2, 11)});
 
     MbAvfOptions opt;
     opt.horizon = 20;
@@ -291,11 +294,16 @@ conservationTrial(const PhysicalArray &array,
     MbAvfOptions opt;
     opt.horizon = 1 + rng.below(200);
     opt.dueShieldsSdc = rng.chance(0.5);
+    // Half the trials draw a 2-D rectangle: it runs the sweep's
+    // multi-row row cache, and on arrays shorter than the footprint
+    // its no-anchor early return.
     const unsigned m = 1 + (unsigned)rng.below(6);
-    const FaultMode mode = FaultMode::mx1(m);
+    const unsigned rows = 1 + (unsigned)rng.below(3);
+    const FaultMode mode =
+        rng.chance(0.5) ? FaultMode::rect(rows, m) : FaultMode::mx1(m);
     const std::string at = label + " (" + scheme->name() + " N=" +
-                           std::to_string(opt.horizon) + " M=" +
-                           std::to_string(m) + ")";
+                           std::to_string(opt.horizon) + " " +
+                           mode.name() + ")";
 
     const MbAvfResult ref =
         computeMbAvf(array, store, *scheme, mode, opt);

@@ -2,24 +2,22 @@
  * @file
  * mbavf — command-line driver for MB-AVF analysis.
  *
- * Runs a workload on the APU model (or loads previously saved
- * lifetimes), then reports single- and multi-bit AVFs and SER for a
+ * Runs a workload on the APU model (or maps a previously saved
+ * arena), then reports single- and multi-bit AVFs and SER for a
  * chosen structure, protection scheme, and interleaving.
  *
  *   mbavf --workload=minife --structure=l1 --scheme=parity \
  *         --style=way --interleave=2 --modes=4 [--windows=8]
- *         [--total-fit=100] [--save-lifetimes=F] [--load-lifetimes=F]
+ *         [--total-fit=100] [--arena-out=F] [--arena-in=F]
  *
  * Structures: l1 | l2 | vgpr.
  * Schemes: none | parity | secded | dected | crc.
  * Styles: logical | way | index (caches); intra | inter (vgpr).
  *
- * --save-lifetimes writes the structure's ACE lifetimes (plus the
- * horizon) so later invocations with --load-lifetimes can sweep
- * designs without re-simulating. --arena-out goes one step further
- * and persists the flattened LifetimeArena the sweep kernel actually
- * reads (DESIGN.md Section 13); --arena-in maps such a file back and
- * sweeps it directly, skipping both simulation and flattening.
+ * --arena-out persists the structure's flattened LifetimeArena (the
+ * layout the sweep kernel reads, plus tags and the horizon; DESIGN.md
+ * Section 13) so later invocations with --arena-in can map it back
+ * and sweep designs without re-simulating or re-flattening.
  */
 
 #include <fstream>
@@ -32,7 +30,6 @@
 #include "common/table.hh"
 #include "core/arena_io.hh"
 #include "core/lifetime_arena.hh"
-#include "core/lifetime_io.hh"
 #include "core/mbavf.hh"
 #include "core/protection.hh"
 #include "core/sweep.hh"
@@ -58,7 +55,7 @@ usage()
 {
     std::cout <<
         "usage: mbavf --workload=NAME [options]\n"
-        "       mbavf --load-lifetimes=FILE [options]\n"
+        "       mbavf --arena-in=FILE [options]\n"
         "       mbavf --campaign --workload=NAME [options]\n\n"
         "options:\n"
         "  --structure=l1|l2|vgpr   structure to analyze (l1)\n"
@@ -74,8 +71,6 @@ usage()
         "  --total-fit=F            raw structure fault rate (100)\n"
         "  --scale=N                workload problem-size multiplier\n"
         "  --shield-due             DUE detection shields SDC\n"
-        "  --save-lifetimes=FILE    persist lifetimes + horizon\n"
-        "  --load-lifetimes=FILE    reuse persisted lifetimes\n"
         "  --arena-out=FILE         persist the structure's flattened\n"
         "                           sweep arena (mmap-able binary,\n"
         "                           DESIGN.md Section 13)\n"
@@ -129,9 +124,8 @@ checkOptions(const Args &args)
     args.requireKnown({
         "help", "list-workloads", "workload", "structure", "scheme",
         "style", "interleave", "modes", "windows", "threads",
-        "total-fit", "scale", "shield-due", "save-lifetimes",
-        "load-lifetimes", "arena-out", "arena-in", "campaign",
-        "trials", "seed", "kind",
+        "total-fit", "scale", "shield-due", "arena-out", "arena-in",
+        "campaign", "trials", "seed", "kind",
         "watchdog", "protect", "protect-domain", "checkpoint",
         "checkpoint-every", "resume", "heartbeat", "manifest",
         "trace-out", "version", "stratify", "stratify-windows",
@@ -659,8 +653,6 @@ main(int argc, char **argv)
     LifetimeStore life(8, 64);
     Cycle horizon = 0;
 
-    const std::string load_path = args.getString("load-lifetimes", "");
-    const std::string save_path = args.getString("save-lifetimes", "");
     const std::string arena_out = args.getString("arena-out", "");
     const std::string arena_in = args.getString("arena-in", "");
 
@@ -668,11 +660,11 @@ main(int argc, char **argv)
     // or store-consuming option is incoherent next to --arena-in.
     std::optional<LifetimeArena> arena;
     if (!arena_in.empty()) {
-        if (!load_path.empty() || args.has("workload"))
-            fatal("--arena-in replaces --workload/--load-lifetimes");
-        if (!save_path.empty() || !arena_out.empty()) {
-            fatal("--save-lifetimes/--arena-out need a lifetime "
-                  "store; --arena-in provides none");
+        if (args.has("workload"))
+            fatal("--arena-in replaces --workload");
+        if (!arena_out.empty()) {
+            fatal("--arena-out needs a lifetime store; --arena-in "
+                  "provides none");
         }
         std::string error;
         arena = tryLoadArena(arena_in, error, &horizon);
@@ -686,19 +678,6 @@ main(int argc, char **argv)
                   << arena->numWords() << " word(s), "
                   << arena->numSegments() << " segment(s), horizon "
                   << horizon << ")\n";
-    } else if (!load_path.empty()) {
-        std::ifstream is(load_path, std::ios::binary);
-        if (!is)
-            fatal("cannot open '", load_path, "'");
-        // The file carries the horizon ahead of the store.
-        std::uint64_t h = 0;
-        is.read(reinterpret_cast<char *>(&h), sizeof(h));
-        if (!is)
-            fatal("truncated lifetime file");
-        horizon = h;
-        life = loadLifetimeStore(is);
-        std::cout << "loaded lifetimes from " << load_path
-                  << " (horizon " << horizon << ")\n";
     } else {
         const std::string workload = args.getString("workload", "");
         if (workload.empty()) {
@@ -727,15 +706,6 @@ main(int argc, char **argv)
             fatal("unknown structure '", structure, "'");
     }
 
-    if (!save_path.empty()) {
-        std::ofstream os(save_path, std::ios::binary);
-        if (!os)
-            fatal("cannot open '", save_path, "' for writing");
-        std::uint64_t h = horizon;
-        os.write(reinterpret_cast<const char *>(&h), sizeof(h));
-        saveLifetimeStore(life, os);
-        std::cout << "saved lifetimes to " << save_path << "\n";
-    }
     if (!arena_out.empty()) {
         // Stream straight from the store: byte-identical to the
         // in-memory snapshot path without holding both copies.
@@ -743,8 +713,8 @@ main(int argc, char **argv)
         std::cout << "saved arena to " << arena_out << "\n";
     }
 
-    // Guard against pairing saved lifetimes with the wrong
-    // structure: VGPR stores are 32-bit words, cache stores 8-bit.
+    // Guard against pairing a saved arena with the wrong structure:
+    // VGPR lifetimes are 32-bit words, cache lifetimes 8-bit.
     const unsigned word_width =
         arena ? arena->wordWidth() : life.wordWidth();
     unsigned expected_width = structure == "vgpr" ? 32 : 8;

@@ -18,10 +18,6 @@
  * Modes:
  *   mbavf_lint --workload=NAME [--scale=N]   instrument a synthetic
  *       run and lint its lifetimes, event streams, and geometry
- *   mbavf_lint --lifetimes=FILE [--horizon=N]  lint a serialized
- *       store (plain or horizon-prefixed, as written by
- *       `mbavf --save-lifetimes`); malformed files are rejected
- *       with a message, never a crash
  *   mbavf_lint --geometry-only               lint geometry combos only
  *
  * --arena additionally flattens each linted store into the sweep
@@ -48,12 +44,10 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <optional>
-#include <string_view>
 
 #include "check/arena_lint.hh"
 #include "check/event_lint.hh"
@@ -62,7 +56,6 @@
 #include "check/report.hh"
 #include "common/args.hh"
 #include "core/arena_io.hh"
-#include "core/lifetime_io.hh"
 #include "inject/journal.hh"
 #include "obs/build_info.hh"
 #include "serve/cache.hh"
@@ -79,7 +72,6 @@ usage()
 {
     std::cout <<
         "usage: mbavf_lint --workload=NAME [options]\n"
-        "       mbavf_lint --lifetimes=FILE [--horizon=N]\n"
         "       mbavf_lint --journal=FILE\n"
         "       mbavf_lint --queue-journal=FILE\n"
         "       mbavf_lint --cache=DIR\n"
@@ -214,9 +206,9 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     args.requireKnown({
-        "help", "workload", "lifetimes", "horizon", "journal",
-        "queue-journal", "cache", "geometry-only", "arena", "scale",
-        "modes", "max-findings", "seed-corruption", "version",
+        "help", "workload", "journal", "queue-journal", "cache",
+        "geometry-only", "arena", "scale", "modes", "max-findings",
+        "seed-corruption", "version",
     });
     if (args.getBool("help")) {
         usage();
@@ -353,60 +345,6 @@ main(int argc, char **argv)
                   << arena->numWords() << " word(s), "
                   << arena->numSegments() << " segment(s)\n";
         lintArenaStructure(*arena, report);
-        return finish(report);
-    }
-
-    const std::string lifetimes_path =
-        args.getString("lifetimes", "");
-    if (!lifetimes_path.empty()) {
-        std::ifstream is(lifetimes_path, std::ios::binary);
-        if (!is) {
-            std::cerr << "mbavf_lint: cannot open '" << lifetimes_path
-                      << "'\n";
-            return 2;
-        }
-        // `mbavf --save-lifetimes` prefixes the store with a horizon
-        // word; detect plain stores by the magic at offset 0.
-        char head[8] = {};
-        is.read(head, sizeof(head));
-        if (!is) {
-            std::cerr << "mbavf_lint: '" << lifetimes_path
-                      << "' is too short to be a lifetime store\n";
-            return 2;
-        }
-        Cycle horizon = 0;
-        if (std::string_view(head, 8) == "MBAVFLT1") {
-            is.seekg(0);
-        } else {
-            std::memcpy(&horizon, head, sizeof(horizon));
-        }
-        if (args.has("horizon")) {
-            horizon =
-                static_cast<Cycle>(args.getInt("horizon", 0));
-        }
-
-        std::string error;
-        std::optional<LifetimeStore> store =
-            tryLoadLifetimeStore(is, error);
-        if (!store) {
-            std::cerr << "mbavf_lint: cannot load '" << lifetimes_path
-                      << "': " << error << "\n";
-            return 2;
-        }
-        if (corruption == "overlap")
-            seedOverlap(*store);
-
-        LifetimeLintOptions opts;
-        opts.horizon = horizon;
-        lintLifetimeStore(*store, opts, report);
-        std::cout << "linted " << store->numContainers()
-                  << " container(s) from " << lifetimes_path << "\n";
-        if (lint_arena &&
-            !lintArenaOf(*store, lifetimes_path,
-                         corruption == "stale-arena", report)) {
-            std::cerr << "mbavf_lint: no lifetime to corrupt\n";
-            return 2;
-        }
         return finish(report);
     }
 
