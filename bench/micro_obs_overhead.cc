@@ -15,7 +15,9 @@
  *    (phase table + trace slice arm/disarm).
  *  - BM_TrialObsOff / BM_TrialObsOn run the same clean campaign
  *    trial through the instrumented engine path with all sinks off
- *    and all on; the delta is the whole-stack per-trial cost.
+ *    and all on; the delta is the whole-stack per-trial cost. They
+ *    call Campaign::simulateOne, since runOne would settle the clean
+ *    trial from the golden-run liveness map without executing it.
  */
 
 #include <benchmark/benchmark.h>
@@ -129,7 +131,7 @@ BM_TrialObsOff(benchmark::State &state)
     Campaign &c = campaign();
     setAllSinks(false);
     for (auto _ : state) {
-        TrialResult r = c.runOne(TrialSpec{});
+        TrialResult r = c.simulateOne(TrialSpec{});
         benchmark::DoNotOptimize(r.outcome);
     }
     state.SetItemsProcessed(
@@ -144,7 +146,7 @@ BM_TrialObsOn(benchmark::State &state)
     Campaign &c = campaign();
     setAllSinks(true);
     for (auto _ : state) {
-        TrialResult r = c.runOne(TrialSpec{});
+        TrialResult r = c.simulateOne(TrialSpec{});
         benchmark::DoNotOptimize(r.outcome);
     }
     setAllSinks(false);

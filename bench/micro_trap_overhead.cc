@@ -13,6 +13,10 @@
  *  - BM_TrialCrashing runs a trial whose injected flip drives an
  *    address out of range, bounding the cold-path cost of raising,
  *    unwinding, and classifying a SimTrap.
+ *
+ * All three go through Campaign::simulateOne: runOne would settle
+ * the clean trial from the golden-run liveness map without executing
+ * it, and the watchdog would never run.
  */
 
 #include <benchmark/benchmark.h>
@@ -37,7 +41,7 @@ BM_TrialWatchdogOff(benchmark::State &state)
     Campaign &c = campaign();
     c.setWatchdogBudgets(0, 0);
     for (auto _ : state) {
-        TrialResult r = c.runOne(TrialSpec{});
+        TrialResult r = c.simulateOne(TrialSpec{});
         benchmark::DoNotOptimize(r.outcome);
     }
     state.SetItemsProcessed(
@@ -52,7 +56,7 @@ BM_TrialWatchdogOn(benchmark::State &state)
     Campaign &c = campaign();
     c.setWatchdogMultiplier(8.0);
     for (auto _ : state) {
-        TrialResult r = c.runOne(TrialSpec{});
+        TrialResult r = c.simulateOne(TrialSpec{});
         benchmark::DoNotOptimize(r.outcome);
     }
     state.SetItemsProcessed(
@@ -79,7 +83,7 @@ BM_TrialCrashing(benchmark::State &state)
     TrialSpec spec;
     spec.regFlips.push_back(flip);
     for (auto _ : state) {
-        TrialResult r = c.runOne(spec);
+        TrialResult r = c.simulateOne(spec);
         benchmark::DoNotOptimize(r.outcome);
     }
 }

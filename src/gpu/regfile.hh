@@ -6,6 +6,10 @@
  * a listener of every read and write with cycle timestamps — the
  * event stream the VGPR ACE analysis is built from. Fault injection
  * flips bits directly in the backing store.
+ *
+ * get() and set() are the only ways a value leaves or enters the
+ * store, so an AccessObserver hooked there sees every observation of
+ * a register by any lane loop or by Wave::peek().
  */
 
 #ifndef MBAVF_GPU_REGFILE_HH
@@ -17,6 +21,7 @@
 #include "common/types.hh"
 #include "core/layout.hh"
 #include "gpu/value.hh"
+#include "mem/memory.hh"
 
 namespace mbavf
 {
@@ -57,7 +62,10 @@ class VectorRegFile
     const Value &
     get(unsigned slot, unsigned reg, unsigned lane) const
     {
-        return values_[geom_.regId(slot, reg, lane)];
+        const std::uint64_t id = geom_.regId(slot, reg, lane);
+        if (observer_)
+            observer_->onRead(observerBase_ + id, 1);
+        return values_[id];
     }
 
     /** Write a register and notify the listener. */
@@ -66,6 +74,8 @@ class VectorRegFile
         Cycle t, InstrTag tag = noInstrTag)
     {
         const std::uint64_t id = geom_.regId(slot, reg, lane);
+        if (observer_)
+            observer_->onWrite(observerBase_ + id, 1);
         values_[id] = value;
         ++writes_;
         if (listener_)
@@ -82,6 +92,19 @@ class VectorRegFile
 
     void setListener(RegFileListener *listener) { listener_ = listener; }
 
+    /**
+     * Report every get() and set() to @p observer (nullptr
+     * detaches), container id c as word @p base + c. Unlike the
+     * listener, which sees the tracked read events, the observer
+     * sees every value access whether or not tracking is on.
+     */
+    void
+    setObserver(AccessObserver *observer, std::uint64_t base = 0)
+    {
+        observer_ = observer;
+        observerBase_ = base;
+    }
+
     std::uint64_t reads() const { return reads_; }
     std::uint64_t writes() const { return writes_; }
 
@@ -89,6 +112,8 @@ class VectorRegFile
     RegFileGeometry geom_;
     std::vector<Value> values_;
     RegFileListener *listener_ = nullptr;
+    AccessObserver *observer_ = nullptr;
+    std::uint64_t observerBase_ = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 
 #include "common/bits.hh"
 #include "common/check.hh"
@@ -92,20 +93,38 @@ scaleBudget(std::uint64_t golden, double multiple)
     return budget < 1.0 ? 1 : static_cast<std::uint64_t>(budget);
 }
 
-/** Per-outcome trial counters, registered once. */
-const obs::Counter &
-outcomeCounter(InjectOutcome outcome)
+/**
+ * Trial counters, registered once and together, so a manifest lists
+ * the same counters whichever outcomes occur: one per outcome, then
+ * campaign.trials.pruned for trials settled from the liveness map.
+ */
+const std::array<obs::Counter, numInjectOutcomes + 1> &
+trialCounters()
 {
     static const auto counters = [] {
-        std::array<obs::Counter, numInjectOutcomes> c;
+        std::array<obs::Counter, numInjectOutcomes + 1> c;
+        obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
         for (std::size_t i = 0; i < numInjectOutcomes; ++i) {
-            c[i] = obs::MetricsRegistry::global().counter(
+            c[i] = registry.counter(
                 std::string("campaign.outcome.") +
                 injectOutcomeName(static_cast<InjectOutcome>(i)));
         }
+        c[numInjectOutcomes] = registry.counter("campaign.trials.pruned");
         return c;
     }();
-    return counters[static_cast<std::size_t>(outcome)];
+    return counters;
+}
+
+const obs::Counter &
+outcomeCounter(InjectOutcome outcome)
+{
+    return trialCounters()[static_cast<std::size_t>(outcome)];
+}
+
+const obs::Counter &
+prunedCounter()
+{
+    return trialCounters()[numInjectOutcomes];
 }
 
 } // namespace
@@ -158,7 +177,7 @@ Campaign::setProtection(const std::string &scheme_name,
 Campaign::ExecResult
 Campaign::execute(const std::vector<RegInjection> &flips,
                   const std::vector<MemInjection> &mem_flips,
-                  bool watchdog) const
+                  bool watchdog, LivenessMap *liveness) const
 {
     // An injection outside the device geometry would either hit a
     // register that no wave can ever touch (silently deflating the
@@ -187,6 +206,9 @@ Campaign::execute(const std::vector<RegInjection> &flips,
         gpu.armInjections(flips);
     if (!mem_flips.empty())
         gpu.armMemInjections(mem_flips);
+    std::optional<LivenessRecorder> recorder;
+    if (liveness)
+        recorder.emplace(gpu);
 
     auto workload = makeWorkload(workload_, scale_);
     workload->run(gpu);
@@ -202,8 +224,11 @@ Campaign::execute(const std::vector<RegInjection> &flips,
     for (const Workload::Range &range : workload->outputs())
         total += range.bytes;
     result.output.reserve(total);
+    // The output comparison is the run's final read.
     for (const Workload::Range &range : workload->outputs())
         gpu.mem().readBlock(range.addr, range.bytes, result.output);
+    if (recorder)
+        *liveness = recorder->finish(result.footprint);
     return result;
 }
 
@@ -248,8 +273,67 @@ Campaign::applyProtection(TrialSpec &spec) const
     return false;
 }
 
+const LivenessMap &
+Campaign::liveness() const
+{
+    std::call_once(livenessOnce_, [this] {
+        obs::ObsPhase obs_phase("campaign.liveness");
+        const ExecResult again = execute({}, {}, false, &liveness_);
+        // The map describes the golden run only if this repeat is it.
+        const bool same = again.output == goldenOutput_ &&
+                          again.instrs == goldenInstrs_ &&
+                          again.cycles == goldenCycles_;
+        if (!same)
+            panic("golden run of '", workload_, "' is not repeatable");
+    });
+    return liveness_;
+}
+
+bool
+Campaign::settled(const TrialSpec &armed) const
+{
+    // A settled trial repeats the golden execution, which only
+    // finishes within budgets that cover the golden run.
+    if ((watchdogInstrs_ != 0 && watchdogInstrs_ < goldenInstrs_) ||
+        (watchdogCycles_ != 0 && watchdogCycles_ < goldenCycles_))
+        return false;
+    const LivenessMap &map = liveness();
+    const RegFileGeometry &regs = config_.regs;
+    for (const RegInjection &flip : armed.regFlips) {
+        if (flip.cu >= config_.numCus || flip.slot >= regs.numSlots ||
+            flip.reg >= regs.numRegs || flip.lane >= regs.numLanes ||
+            (flip.bitMask & ~lowMask(regs.regBits)) != 0)
+            return false;
+        const std::uint64_t word = livenessWord(config_, flip);
+        if (word >= map.words() || map.exposed(word, flip.triggerInstr))
+            return false;
+    }
+    for (const MemInjection &flip : armed.memFlips) {
+        // Past the footprint the map knows nothing: such a flip may
+        // even lie outside memory and trap when it fires.
+        if (flip.addr >= footprint_)
+            return false;
+        const std::uint64_t word = livenessWord(config_, flip);
+        if (word >= map.words() || map.exposed(word, flip.triggerInstr))
+            return false;
+    }
+    return true;
+}
+
 TrialResult
 Campaign::runOne(const TrialSpec &spec) const
+{
+    return run(spec, true);
+}
+
+TrialResult
+Campaign::simulateOne(const TrialSpec &spec) const
+{
+    return run(spec, false);
+}
+
+TrialResult
+Campaign::run(const TrialSpec &spec, bool settle) const
 {
     // One slice per trial on the worker's trace track.
     obs::TraceScope trace("trial");
@@ -258,6 +342,12 @@ Campaign::runOne(const TrialSpec &spec) const
     if (scheme_ && applyProtection(armed)) {
         result.outcome = InjectOutcome::Due;
         result.code = schemeCode_;
+        outcomeCounter(result.outcome).add();
+        return result;
+    }
+    if (settle && settled(armed)) {
+        ++trialsSettled_;
+        prunedCounter().add();
         outcomeCounter(result.outcome).add();
         return result;
     }

@@ -24,6 +24,13 @@
  * trapped, hung, or otherwise throwing trial records its outcome and
  * never aborts its runTrials()/runBatch() siblings.
  *
+ * Provably dead trials are not simulated. A recorded repeat of the
+ * golden run yields a liveness map (inject/liveness.hh): per register
+ * container and memory byte, the triggers at which a flip is ever
+ * read. A trial whose every flip is outside its word's exposed spans
+ * arms an execution identical to the golden run, so runOne() settles
+ * it Masked from the map; simulateOne() always simulates.
+ *
  * Trials are independent — each builds its own Gpu — so batches run
  * concurrently on the shared pool (common/parallel.hh) via
  * runTrials() / runBatch(). Trial t of a runTrials() batch draws its
@@ -37,9 +44,11 @@
 #define MBAVF_INJECT_CAMPAIGN_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -47,6 +56,7 @@
 #include "common/stats.hh"
 #include "core/protection.hh"
 #include "gpu/gpu.hh"
+#include "inject/liveness.hh"
 #include "workloads/workload.hh"
 
 namespace mbavf
@@ -210,8 +220,39 @@ class Campaign
      * Crash/Hang, protection classifies Due, and any other exception
      * escaping the execution is recorded as Crash
      * (trap.host.exception) rather than propagated.
+     *
+     * After protection, the trial is settled Masked without building
+     * a Gpu when all of these hold: every remaining flip's trigger
+     * lies outside its word's exposed spans in the golden-run
+     * liveness map; every flip's site lies inside the map (a memory
+     * flip at or past the footprint must still trap or run); and
+     * each watchdog budget is 0 or at least the golden run's count,
+     * so the golden execution the trial repeats cannot hang. The
+     * result, outcome counter and trace slice are the same as
+     * simulateOne()'s.
      */
     TrialResult runOne(const TrialSpec &spec) const;
+
+    /**
+     * runOne() without the liveness shortcut: always executes the
+     * trial. The oracle runOne() is tested against.
+     */
+    TrialResult simulateOne(const TrialSpec &spec) const;
+
+    /**
+     * Trials runOne() has settled from the liveness map so far (a
+     * deterministic count: settling depends only on the spec).
+     */
+    std::uint64_t trialsSettled() const { return trialsSettled_.load(); }
+
+    /**
+     * The golden run's liveness map (see inject/liveness.hh). Built
+     * on first use, by the first trial that may be settled, from a
+     * repeat of the golden run with the recorder attached: a
+     * campaign used only for its golden counts never pays for it.
+     * Safe to call from concurrent trials.
+     */
+    const LivenessMap &liveness() const;
 
     /**
      * Execute the given trials concurrently on the shared pool (each
@@ -272,6 +313,9 @@ class Campaign
     /** CUs that received waves in the golden run. */
     unsigned cusUsed() const { return cusUsed_; }
 
+    /** Bytes the golden run allocated; sampleMemBit() stays below. */
+    Addr footprint() const { return footprint_; }
+
     const std::string &workloadName() const { return workload_; }
 
     /** Problem-size multiplier the campaign was built with. */
@@ -295,12 +339,14 @@ class Campaign
      * Run the workload from scratch with the given flips armed.
      * Touches no Campaign state, so concurrent calls are safe.
      * @p watchdog arms the trial budgets (the golden run passes
-     * false). Throws SimTrap when corrupted state hits a validity
-     * check or a budget.
+     * false). A non-null @p liveness receives the execution's
+     * liveness map. Throws SimTrap when corrupted state hits a
+     * validity check or a budget.
      */
     ExecResult execute(const std::vector<RegInjection> &flips,
                        const std::vector<MemInjection> &mem_flips,
-                       bool watchdog) const;
+                       bool watchdog,
+                       LivenessMap *liveness = nullptr) const;
 
     /**
      * Apply the armed protection scheme to @p spec before
@@ -308,6 +354,15 @@ class Campaign
      * trial is Due); Corrected flips are removed from @p spec.
      */
     bool applyProtection(TrialSpec &spec) const;
+
+    /**
+     * True when the liveness map proves @p armed (after protection)
+     * executes exactly as the golden run does (see runOne()).
+     */
+    bool settled(const TrialSpec &armed) const;
+
+    /** runOne() and simulateOne(); @p settle enables the shortcut. */
+    TrialResult run(const TrialSpec &spec, bool settle) const;
 
     std::string workload_;
     unsigned scale_;
@@ -322,6 +377,9 @@ class Campaign
     std::string schemeCode_;
     unsigned protectionDomainBits_ = 0;
     std::vector<std::uint8_t> goldenOutput_;
+    mutable std::once_flag livenessOnce_;
+    mutable LivenessMap liveness_;
+    mutable std::atomic<std::uint64_t> trialsSettled_{0};
 };
 
 } // namespace mbavf

@@ -52,6 +52,7 @@ MainMemory::readBlock(Addr addr, std::uint64_t bytes,
     if (bytes == 0)
         return;
     checkRange(addr, bytes);
+    noteRead(addr, bytes);
     out.insert(out.end(), data_ + addr, data_ + addr + bytes);
 }
 

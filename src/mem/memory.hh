@@ -33,6 +33,26 @@ struct ByteOrigin
     std::uint8_t byteIdx = 0;
 };
 
+/**
+ * Observer of every read and write of architectural data: register
+ * containers and memory bytes, numbered as words in one space chosen
+ * by whoever attaches it. An injection campaign attaches one to a
+ * repeat of its golden run only, to learn which flips a later read
+ * could observe (inject/liveness.hh); every other execution leaves
+ * it unset, and each access site pays one null-pointer branch.
+ */
+class AccessObserver
+{
+  public:
+    virtual ~AccessObserver() = default;
+
+    /** Words [@p word, @p word + @p count) were read. */
+    virtual void onRead(std::uint64_t word, std::uint64_t count) = 0;
+
+    /** Words [@p word, @p word + @p count) were overwritten whole. */
+    virtual void onWrite(std::uint64_t word, std::uint64_t count) = 0;
+};
+
 /** Flat byte-addressable memory with a bump allocator. */
 class MainMemory
 {
@@ -51,10 +71,22 @@ class MainMemory
     /** High-water mark of the bump allocator. */
     Addr allocatedBytes() const { return allocPtr_; }
 
+    /**
+     * Report every data access to @p observer (nullptr detaches),
+     * byte @p addr as word @p base + addr.
+     */
+    void
+    setObserver(AccessObserver *observer, std::uint64_t base = 0)
+    {
+        observer_ = observer;
+        observerBase_ = base;
+    }
+
     std::uint8_t
     read8(Addr addr) const
     {
         checkRange(addr, 1);
+        noteRead(addr, 1);
         return data_[addr];
     }
 
@@ -62,6 +94,7 @@ class MainMemory
     read32(Addr addr) const
     {
         checkRange(addr, 4);
+        noteRead(addr, 4);
         const std::uint8_t *p = data_ + addr;
         return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
                std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
@@ -75,6 +108,7 @@ class MainMemory
     write8(Addr addr, std::uint8_t value)
     {
         checkRange(addr, 1);
+        noteWrite(addr, 1);
         data_[addr] = value;
     }
 
@@ -82,6 +116,7 @@ class MainMemory
     write32(Addr addr, std::uint32_t value)
     {
         checkRange(addr, 4);
+        noteWrite(addr, 4);
         std::uint8_t *p = data_ + addr;
         for (unsigned i = 0; i < 4; ++i)
             p[i] = static_cast<std::uint8_t>(value >> (8 * i));
@@ -114,10 +149,26 @@ class MainMemory
 
     [[noreturn]] void rangeTrap(Addr addr, std::uint64_t size) const;
 
+    void
+    noteRead(Addr addr, std::uint64_t size) const
+    {
+        if (observer_)
+            observer_->onRead(observerBase_ + addr, size);
+    }
+
+    void
+    noteWrite(Addr addr, std::uint64_t size) const
+    {
+        if (observer_)
+            observer_->onWrite(observerBase_ + addr, size);
+    }
+
     std::uint8_t *data_ = nullptr; ///< size_ bytes, zero until written
     std::uint64_t size_ = 0;
     std::vector<ByteOrigin> origins_;
     Addr allocPtr_ = 0;
+    AccessObserver *observer_ = nullptr;
+    std::uint64_t observerBase_ = 0;
 };
 
 } // namespace mbavf

@@ -10,7 +10,11 @@
  *   run is at most 3000 instructions, a fixed-seed batch of 64
  *   register and 32 memory trials is digested together with the
  *   golden instruction and cycle counts. The digests were recorded
- *   before the untracked path was optimized.
+ *   before the untracked path was optimized. runOne() settles most
+ *   of these trials from the golden-run liveness map without
+ *   simulating them, so the same batch also runs through
+ *   simulateOne(): its digest must match the pin too, and every
+ *   trial must classify the same both ways.
  * - TrackedUntrackedParity: a tracked and an untracked run of every
  *   kernel produce the same output bytes, instruction count, clock,
  *   per-cache hit/miss/writeback counts and register-file writes.
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "common/journal_io.hh"
+#include "common/parallel.hh"
 #include "inject/campaign.hh"
 #include "workloads/workload.hh"
 
@@ -61,17 +66,25 @@ digestTrials(std::uint64_t hash, const std::vector<TrialResult> &trials)
     return hash;
 }
 
+/** The pinned trials of @p kind, every one simulated. */
+std::vector<TrialResult>
+simulateTrials(const Campaign &c, std::size_t n, TrialKind kind)
+{
+    std::vector<TrialResult> results(n);
+    runTasks(n, [&](std::size_t t) {
+        results[t] = c.simulateOne(c.trialSpec(t, pinSeed, kind));
+    });
+    return results;
+}
+
 /** Digest of one kernel's golden run and pinned trial batch. */
 std::uint64_t
-outcomeDigest(const Campaign &c)
+outcomeDigest(const Campaign &c, const std::vector<TrialResult> &reg,
+              const std::vector<TrialResult> &mem)
 {
     std::uint64_t hash = mix(0xcbf29ce484222325ull, c.workloadName());
     hash = mix(hash, c.goldenInstrs());
     hash = mix(hash, c.goldenCycles());
-    const std::vector<TrialResult> reg =
-        c.runTrialsDetailed(0, pinRegTrials, pinSeed, TrialKind::Register);
-    const std::vector<TrialResult> mem =
-        c.runTrialsDetailed(0, pinMemTrials, pinSeed, TrialKind::Memory);
     return digestTrials(digestTrials(hash, reg), mem);
 }
 
@@ -104,7 +117,21 @@ TEST(OutcomePin, SmallKernelsMatchRecordedDigests)
             continue;
         }
         ++pinned;
-        const std::uint64_t digest = outcomeDigest(c);
+        const std::vector<TrialResult> reg = c.runTrialsDetailed(
+            0, pinRegTrials, pinSeed, TrialKind::Register);
+        const std::vector<TrialResult> mem = c.runTrialsDetailed(
+            0, pinMemTrials, pinSeed, TrialKind::Memory);
+        const std::vector<TrialResult> sim_reg =
+            simulateTrials(c, pinRegTrials, TrialKind::Register);
+        const std::vector<TrialResult> sim_mem =
+            simulateTrials(c, pinMemTrials, TrialKind::Memory);
+        for (std::size_t t = 0; t < pinRegTrials; ++t)
+            EXPECT_EQ(reg[t], sim_reg[t]) << name << " register " << t;
+        for (std::size_t t = 0; t < pinMemTrials; ++t)
+            EXPECT_EQ(mem[t], sim_mem[t]) << name << " memory " << t;
+
+        const std::uint64_t digest = outcomeDigest(c, reg, mem);
+        const std::uint64_t simulated = outcomeDigest(c, sim_reg, sim_mem);
         auto it = pinnedDigests().find(name);
         if (it == pinnedDigests().end()) {
             ADD_FAILURE() << name << " has no pin; digest 0x"
@@ -113,6 +140,8 @@ TEST(OutcomePin, SmallKernelsMatchRecordedDigests)
         }
         EXPECT_EQ(it->second, digest)
             << name << ": digest 0x" << std::hex << digest;
+        EXPECT_EQ(it->second, simulated)
+            << name << ": simulated digest 0x" << std::hex << simulated;
     }
     EXPECT_EQ(pinned, pinnedDigests().size());
 }

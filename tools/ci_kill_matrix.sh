@@ -32,7 +32,10 @@ serve="$build/tools/mbavf_serve"
 lint="$build/tools/mbavf_lint"
 
 workload="${MBAVF_SMOKE_WORKLOAD:-recursive_gaussian}"
-trials="${MBAVF_SMOKE_TRIALS:-8000}"
+# Memory trials, and enough of them, so that kills land mid-run: a
+# register campaign settles about 99% of its trials from the
+# golden-run liveness map and ends in well under a second.
+trials="${MBAVF_SMOKE_TRIALS:-16000}"
 seed="${MBAVF_SMOKE_SEED:-5}"
 # Upper bound (in deciseconds) on the random delay before each kill.
 kill_spread="${MBAVF_SMOKE_KILL_SPREAD:-30}"
@@ -83,7 +86,7 @@ case "$mode" in
 campaign)
     run_campaign() {
         "$mbavf" --campaign --workload="$workload" \
-            --trials="$trials" --seed="$seed" --kind=register \
+            --trials="$trials" --seed="$seed" --kind=memory \
             --checkpoint="$1" --checkpoint-every=64 \
             --threads="$2" "${@:3}"
     }
@@ -94,13 +97,13 @@ campaign)
     echo "== campaign kill matrix ($kills kills) =="
     launch() {
         exec "$mbavf" --campaign --workload="$workload" \
-            --trials="$trials" --seed="$seed" --kind=register \
+            --trials="$trials" --seed="$seed" --kind=memory \
             --checkpoint="$work/resumed.journal" \
             --checkpoint-every=64 --threads=2
     }
     resume() {
         exec "$mbavf" --campaign --workload="$workload" \
-            --trials="$trials" --seed="$seed" --kind=register \
+            --trials="$trials" --seed="$seed" --kind=memory \
             --checkpoint="$work/resumed.journal" \
             --checkpoint-every=64 --threads=2 --resume
     }
@@ -131,7 +134,7 @@ serve)
 {
   "jobs": [
     {"type": "sweep", "workload": "histogram", "modes": 4},
-    {"type": "campaign", "workload": "$workload",
+    {"type": "campaign", "workload": "$workload", "kind": "memory",
      "trials": $trials, "seed": $seed, "shard_trials": 500}
   ]
 }

@@ -174,6 +174,17 @@ writeObsOutputs(obs::Manifest *manifest,
 }
 
 /**
+ * How many of the @p ran trials this process ran were settled Masked
+ * from the golden-run liveness map instead of simulated.
+ */
+void
+printSettled(const Campaign &campaign, std::uint64_t ran)
+{
+    std::cout << "\n" << campaign.trialsSettled() << " of " << ran
+              << " trials settled by golden-run liveness\n";
+}
+
+/**
  * The --campaign --stratify mode: two-level estimation. Level one
  * (inject/stratified.hh) partitions the fault space and prices the
  * allocation; level two injects the picks and folds per-stratum
@@ -371,6 +382,7 @@ runStratifiedCampaignCli(const Args &args)
             .cell(ci);
     }
     table.printText(std::cout);
+    printSettled(campaign, remaining);
 
     const WilsonInterval sdc =
         strat.combinedInterval(tallies, InjectOutcome::Sdc);
@@ -572,6 +584,7 @@ runCampaignCli(const Args &args)
             .cell(ci);
     }
     table.printText(std::cout);
+    printSettled(campaign, remaining);
 
     if (!tally.codeCounts.empty()) {
         std::cout << "\ndiagnostic codes:\n";
