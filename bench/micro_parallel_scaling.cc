@@ -3,10 +3,12 @@
  * Parallel-scaling microbenchmark for the shared execution layer.
  *
  * Measures the two fan-out shapes the pool serves — an 8-mode
- * sweepModes() over a structure's lifetimes, and an injection
- * campaign batch (Campaign::runTrials) — at 1/2/4/N threads, and
- * checks that every thread count produces bit-identical AVF
- * fractions and per-trial outcomes.
+ * sweepModes() over a structure's lifetimes, and a batch of
+ * injection trials — at 1/2/4/N threads, and checks that every
+ * thread count produces bit-identical AVF fractions and per-trial
+ * outcomes. The trials run through Campaign::simulateOne(), which
+ * always simulates: runTrials() settles most register trials from
+ * the golden-run liveness map, which would time the map instead.
  *
  *   micro_parallel_scaling [--workload=histogram] [--scale=N]
  *                          [--trials=256] [--modes=8] [--max-threads=N]
@@ -101,7 +103,7 @@ main(int argc, char **argv)
     Table table({"threads", "sweep s", "sweep x", "campaign s",
                  "campaign x", "trials/s"});
     ModeSweep ref_sweep;
-    std::vector<InjectOutcome> ref_outcomes;
+    std::vector<TrialResult> ref_outcomes;
     double sweep1 = 0.0, camp1 = 0.0;
     bool identical = true;
 
@@ -114,8 +116,11 @@ main(int argc, char **argv)
             sweepModes(*array, run.l1, parity, opt, max_mode);
         double sweep_s = watch.restart();
 
-        std::vector<InjectOutcome> outcomes =
-            campaign.runTrials(trials, seed, TrialKind::Register);
+        std::vector<TrialResult> outcomes(trials);
+        runTasks(trials, [&](std::size_t i) {
+            outcomes[i] = campaign.simulateOne(
+                campaign.trialSpec(i, seed, TrialKind::Register));
+        });
         double camp_s = watch.restart();
 
         if (t == counts.front()) {

@@ -87,13 +87,38 @@ CacheAvfProbe::finalize(Cycle horizon, const LivenessResolver &live) const
 {
     LifetimeStore store(8, geom_.lineBytes);
 
+    // A byte's events go in (time, Prio, insertion) order, where
+    // the slot's line-level fills and reads come before the byte's
+    // own write-back reads and accesses: the order a stable sort of
+    // that concatenation by (time, Prio) gives. The line-level events
+    // are sorted once per slot, the byte's own once per byte, and the
+    // two merged, line-level first among equal keys. The buffers are
+    // reused across all bytes and slots.
     struct Tagged
     {
-        Cycle time;
         Prio prio;
+        std::uint32_t order; ///< insertion index within its list
         WordEvent event;
     };
-    std::vector<Tagged> merged;
+    auto before = [](const Tagged &a, const Tagged &b) {
+        return a.event.time != b.event.time
+                   ? a.event.time < b.event.time
+                   : a.prio < b.prio;
+    };
+    auto sortEvents = [&before](std::vector<Tagged> &v) {
+        std::sort(v.begin(), v.end(),
+                  [&before](const Tagged &a, const Tagged &b) {
+                      return before(a, b) ||
+                             (!before(b, a) && a.order < b.order);
+                  });
+    };
+    auto add = [](std::vector<Tagged> &v, Prio prio,
+                  const WordEvent &ev) {
+        v.push_back({prio, static_cast<std::uint32_t>(v.size()), ev});
+    };
+    std::vector<Tagged> line_events;
+    std::vector<Tagged> own;
+    WordEventLog log;
 
     for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
         const SlotLog &s = slots_[idx];
@@ -101,20 +126,19 @@ CacheAvfProbe::finalize(Cycle horizon, const LivenessResolver &live) const
             continue;
         ContainerLifetime &life = store.container(idx);
 
-        for (unsigned b = 0; b < geom_.lineBytes; ++b) {
-            merged.clear();
+        line_events.clear();
+        for (Cycle t : s.fills) {
+            add(line_events, Prio::Fill,
+                {t, WordEvent::Kind::Write, 0xFF, noDef, false, 0});
+        }
+        for (Cycle t : s.lineReads) {
+            add(line_events, Prio::Access,
+                {t, WordEvent::Kind::Read, 0, noDef, false, 0});
+        }
+        sortEvents(line_events);
 
-            for (Cycle t : s.fills) {
-                merged.push_back(
-                    {t, Prio::Fill,
-                     {t, WordEvent::Kind::Write, 0xFF, noDef, false,
-                      0}});
-            }
-            for (Cycle t : s.lineReads) {
-                merged.push_back(
-                    {t, Prio::Access,
-                     {t, WordEvent::Kind::Read, 0, noDef, false, 0}});
-            }
+        for (unsigned b = 0; b < geom_.lineBytes; ++b) {
+            own.clear();
             for (const Evict &e : s.evicts) {
                 if (!e.dirtyBytes)
                     continue; // clean: data dropped, never read out
@@ -130,7 +154,7 @@ CacheAvfProbe::finalize(Cycle horizon, const LivenessResolver &live) const
                     ev.exact = true;
                     ev.relShift = ref->relShift;
                 }
-                merged.push_back({e.time, Prio::EvictRead, ev});
+                add(own, Prio::EvictRead, ev);
             }
             for (const ByteAccess &a : s.bytes[b]) {
                 WordEvent ev;
@@ -152,20 +176,19 @@ CacheAvfProbe::finalize(Cycle horizon, const LivenessResolver &live) const
                     ev = {a.time, WordEvent::Kind::Read, 0xFF, a.def,
                           true, a.relShift};
                 }
-                merged.push_back({a.time, Prio::Access, ev});
+                add(own, Prio::Access, ev);
             }
+            sortEvents(own);
 
-            std::stable_sort(
-                merged.begin(), merged.end(),
-                [](const Tagged &a, const Tagged &b) {
-                    return a.time != b.time ? a.time < b.time
-                                            : a.prio < b.prio;
-                });
-
-            WordEventLog log;
-            log.events.reserve(merged.size());
-            for (const Tagged &t : merged)
-                log.events.push_back(t.event);
+            log.events.clear();
+            auto l = line_events.begin();
+            auto o = own.begin();
+            while (l != line_events.end() || o != own.end()) {
+                const bool take_own =
+                    l == line_events.end() ||
+                    (o != own.end() && before(*o, *l));
+                log.events.push_back((take_own ? o++ : l++)->event);
+            }
             life.words[b] = buildWordLifetime(log, horizon, 8, live);
         }
     }

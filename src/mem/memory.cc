@@ -2,6 +2,8 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/trap.hh"
 
@@ -11,9 +13,8 @@ namespace mbavf
 MainMemory::MainMemory(std::uint64_t size_bytes)
     : size_(size_bytes)
 {
-    // origins_ is allocated lazily on the first real provenance
-    // write: fault-injection runs never track provenance, and the
-    // array is large.
+    // origins_ grows on the first real provenance write: fault-
+    // injection runs never track provenance.
     void *pages = ::mmap(nullptr, size_bytes, PROT_READ | PROT_WRITE,
                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (pages == MAP_FAILED)
@@ -56,23 +57,20 @@ MainMemory::readBlock(Addr addr, std::uint64_t bytes,
     out.insert(out.end(), data_ + addr, data_ + addr + bytes);
 }
 
-ByteOrigin
-MainMemory::origin(Addr addr) const
-{
-    checkRange(addr, 1);
-    if (origins_.empty())
-        return ByteOrigin{};
-    return origins_[addr];
-}
-
 void
 MainMemory::setOrigin(Addr addr, unsigned size, DefId def)
 {
     checkRange(addr, size);
-    if (origins_.empty()) {
-        if (def == noDef)
-            return; // default origin is already noDef
-        origins_.resize(size_);
+    const Addr end = addr + size;
+    if (end > origins_.size()) {
+        if (def == noDef) {
+            // Bytes past the end already read noDef.
+            if (addr >= origins_.size())
+                return;
+            size = static_cast<unsigned>(origins_.size() - addr);
+        } else {
+            origins_.resize(std::max<Addr>(end, allocPtr_));
+        }
     }
     for (unsigned i = 0; i < size; ++i)
         origins_[addr + i] = {def, static_cast<std::uint8_t>(i)};

@@ -12,6 +12,13 @@
  * out zero pages on first touch, so a device pays only for the pages
  * its workload uses rather than zero-filling the whole address space
  * (an injection campaign builds one device per trial).
+ *
+ * The provenance array is sized to the footprint, not the address
+ * space: it stays empty until the first real (non-noDef) provenance
+ * write, which grows it to cover the allocator's high-water mark and
+ * the written bytes; a byte past its end reads noDef. A tracked run
+ * so pays for the bytes its workload allocates, and an untracked one
+ * for none.
  */
 
 #ifndef MBAVF_MEM_MEMORY_HH
@@ -123,7 +130,14 @@ class MainMemory
     }
 
     /** Provenance of byte @p addr. */
-    ByteOrigin origin(Addr addr) const;
+    ByteOrigin
+    origin(Addr addr) const
+    {
+        if (addr < origins_.size())
+            return origins_[addr];
+        checkRange(addr, 1);
+        return ByteOrigin{};
+    }
 
     /** Record that @p size bytes at @p addr hold @p def's value. */
     void setOrigin(Addr addr, unsigned size, DefId def);
@@ -165,7 +179,7 @@ class MainMemory
 
     std::uint8_t *data_ = nullptr; ///< size_ bytes, zero until written
     std::uint64_t size_ = 0;
-    std::vector<ByteOrigin> origins_;
+    std::vector<ByteOrigin> origins_; ///< the footprint's provenance
     Addr allocPtr_ = 0;
     AccessObserver *observer_ = nullptr;
     std::uint64_t observerBase_ = 0;

@@ -103,9 +103,9 @@ runAceAnalysis(const std::string &workload_name,
         if (measure_l2)
             out.l2 = l2_probe.finalize(out.horizon, resolver);
         if (options.probeAllVgprs) {
+            // CU0's probe is vgpr_probe: finalized once, above.
             out.vgprPerCu.reserve(config.numCus);
-            out.vgprPerCu.push_back(
-                vgpr_probe.finalize(out.horizon, resolver));
+            out.vgprPerCu.push_back(out.vgpr);
             for (auto &probe : cu_probes) {
                 out.vgprPerCu.push_back(
                     probe->finalize(out.horizon, resolver));

@@ -19,10 +19,18 @@
  *   kernel produce the same output bytes, instruction count, clock,
  *   per-cache hit/miss/writeback counts and register-file writes.
  *   Tracking only adds bookkeeping beside the same execution.
+ *
+ * AcePin holds the tracked path's results the same way: for every
+ * registry kernel at scale 1, the lifetimes of one runAceAnalysis
+ * with the L2 and every CU's VGPR probed (every segment's bounds,
+ * masks and tag), the horizon and the definition counts are
+ * digested. The digests were recorded before the tracked path's
+ * provenance and cache-probe bookkeeping were optimized.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -31,6 +39,7 @@
 #include "common/journal_io.hh"
 #include "common/parallel.hh"
 #include "inject/campaign.hh"
+#include "workloads/ace_runner.hh"
 #include "workloads/workload.hh"
 
 namespace mbavf
@@ -206,6 +215,93 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });
+
+/** Digest of @p store: every segment, containers in id order. */
+std::uint64_t
+digestStore(std::uint64_t hash, const LifetimeStore &store)
+{
+    hash = mix(hash, store.wordWidth());
+    hash = mix(hash, store.wordsPerContainer());
+    std::vector<std::uint64_t> ids;
+    for (const auto &entry : store.containers())
+        ids.push_back(entry.first);
+    std::sort(ids.begin(), ids.end());
+    for (std::uint64_t id : ids) {
+        const ContainerLifetime &c = store.containers().at(id);
+        hash = mix(mix(hash, id), c.words.size());
+        for (const WordLifetime &w : c.words) {
+            hash = mix(hash, w.segments().size());
+            for (const LifeSegment &s : w.segments()) {
+                hash = mix(hash, s.begin);
+                hash = mix(hash, s.end);
+                hash = mix(hash, s.aceMask);
+                hash = mix(hash, s.readMask);
+                hash = mix(hash, s.tag);
+            }
+        }
+    }
+    return hash;
+}
+
+/** Digests of the tracked run of every registry kernel at scale 1,
+ *  recorded before its bookkeeping was optimized. */
+const std::map<std::string, std::uint64_t> &
+pinnedAceDigests()
+{
+    static const std::map<std::string, std::uint64_t> pins = {
+        {"minife", 0xceeb09ca237ab179ull},
+        {"comd", 0x3a960da0861cf6b7ull},
+        {"srad", 0xd5243b6935df833full},
+        {"hotspot", 0x9a366e71625e7a8dull},
+        {"pathfinder", 0xa1aae111ad0950f0ull},
+        {"bfs", 0x387a2383cd46d4full},
+        {"kmeans", 0xdab2ac5ca188a23bull},
+        {"nw", 0x58dbae557f50f688ull},
+        {"lud", 0x369de26ef34d1735ull},
+        {"backprop", 0x878f7e920d19043aull},
+        {"scan_large_arrays", 0x492d9824fd059702ull},
+        {"prefix_sum", 0x1516eeb6e2c437e3ull},
+        {"dwt_haar1d", 0xcf14fb7ab91606deull},
+        {"fast_walsh", 0xdd2e0bb633eeb124ull},
+        {"dct", 0xa5bbf1152eda0f5ull},
+        {"histogram", 0xa4baf7a0c0028c1cull},
+        {"matrix_transpose", 0x9d14146dc7a43982ull},
+        {"recursive_gaussian", 0x1da86b42368163efull},
+        {"matmul", 0xc46da41bd310fb0aull},
+    };
+    return pins;
+}
+
+TEST(AcePin, TrackedRunsMatchRecordedDigests)
+{
+    for (const std::string &name : workloadNames()) {
+        AceRunOptions options;
+        options.measureL2 = true;
+        options.probeAllVgprs = true;
+        const AceRun run = runAceAnalysis(name, options);
+
+        std::uint64_t digest = mix(0xcbf29ce484222325ull, name);
+        digest = mix(digest, run.horizon);
+        digest = mix(digest, run.numDefs);
+        digest = mix(digest, run.numDeadDefs);
+        digest = digestStore(digest, run.l1);
+        digest = digestStore(digest, run.l2);
+        digest = digestStore(digest, run.vgpr);
+        digest = mix(digest, run.vgprPerCu.size());
+        for (const LifetimeStore &store : run.vgprPerCu)
+            digest = digestStore(digest, store);
+
+        auto it = pinnedAceDigests().find(name);
+        if (it == pinnedAceDigests().end()) {
+            ADD_FAILURE() << "{\"" << name << "\", 0x" << std::hex
+                          << digest << "ull},";
+            continue;
+        }
+        EXPECT_EQ(it->second, digest)
+            << name << ": digest 0x" << std::hex << digest;
+    }
+    EXPECT_EQ(pinnedAceDigests().size(), workloadNames().size());
+}
 
 } // namespace
 } // namespace mbavf

@@ -140,6 +140,58 @@ TEST(MainMemory, OriginsLazyAndDefault)
     EXPECT_EQ(mem.origin(0).def, noDef);
 }
 
+TEST(MainMemory, OriginPastHighWaterMarkIsNoDef)
+{
+    const std::uint64_t size = std::uint64_t(4) << 20;
+    MainMemory mem(size);
+    const Addr a = mem.alloc(256);
+    mem.setOrigin(a + 4, 4, 42);
+    const Addr top = mem.allocatedBytes();
+    for (Addr b : {top, top + 1, top + 4096, size - 1}) {
+        EXPECT_EQ(mem.origin(b).def, noDef) << b;
+        EXPECT_EQ(mem.origin(b).byteIdx, 0) << b;
+    }
+    mem.hostWrite32(top + 64, 9); // noDef past the end: no growth
+    EXPECT_EQ(mem.origin(top + 64).def, noDef);
+    EXPECT_EQ(mem.origin(a + 6).def, 42u);
+}
+
+TEST(MainMemory, OriginAtTopOfMemoryGrows)
+{
+    const std::uint64_t size = std::uint64_t(4) << 20;
+    MainMemory mem(size);
+    mem.alloc(128);
+    ASSERT_LT(mem.allocatedBytes(), size - 4);
+    mem.setOrigin(size - 4, 4, 77);
+    for (unsigned i = 0; i < 4; ++i) {
+        EXPECT_EQ(mem.origin(size - 4 + i).def, 77u) << i;
+        EXPECT_EQ(mem.origin(size - 4 + i).byteIdx, i) << i;
+    }
+    EXPECT_EQ(mem.origin(size - 5).def, noDef);
+    EXPECT_EQ(mem.origin(mem.allocatedBytes()).def, noDef);
+}
+
+TEST(MainMemory, OriginsSurviveGrowthAfterAlloc)
+{
+    MainMemory mem(std::uint64_t(1) << 20);
+    const Addr a = mem.alloc(64);
+    mem.setOrigin(a, 4, 5);
+    mem.setOrigin(a + 60, 4, 6);
+    const Addr b = mem.alloc(std::uint64_t(64) << 10);
+    mem.setOrigin(b + 1000, 4, 7);
+    for (unsigned i = 0; i < 4; ++i) {
+        EXPECT_EQ(mem.origin(a + i).def, 5u) << i;
+        EXPECT_EQ(mem.origin(a + i).byteIdx, i) << i;
+        EXPECT_EQ(mem.origin(a + 60 + i).def, 6u) << i;
+        EXPECT_EQ(mem.origin(b + 1000 + i).def, 7u) << i;
+    }
+    EXPECT_EQ(mem.origin(a + 4).def, noDef);
+    EXPECT_EQ(mem.origin(b).def, noDef);
+    // A noDef write over a tracked byte still clears it.
+    mem.hostWrite32(a, 1);
+    EXPECT_EQ(mem.origin(a).def, noDef);
+}
+
 TEST(RefIndex, FirstAfterFindsLoad)
 {
     MemRefIndex idx;
