@@ -5,35 +5,36 @@
  * Runs the Figure 4 workload shape — L1 cache lifetimes, parity, x2
  * interleaving — through four paths per workload:
  *
- *   ref     max_mode independent computeMbAvf walks over the store
- *           (MbAvfOptions::referenceKernel)
- *   scalar  the single-pass flat-arena kernel, portable scalar
- *           implementation (MbAvfOptions::scalarKernel)
- *   simd    the same kernel with runtime dispatch enabled — the AVX2
- *           lane-transposed path where the host supports it, the
- *           scalar path otherwise
- *   mmap    the simd path again, but sweeping an arena persisted
- *           with core/arena_io.hh and mapped back from disk
+ *   ref         max_mode independent computeMbAvf walks over the
+ *               store (MbAvfOptions::referenceKernel)
+ *   portable    the single-pass lane-per-prefix arena kernel, pinned
+ *               to its portable build
+ *   dispatched  the same kernel as sweepModes() runs it: the AVX2
+ *               build where the host supports it, the portable build
+ *               otherwise
+ *   mmap        the dispatched path again, but sweeping an arena
+ *               persisted with core/arena_io.hh and mapped back
  *
  * All four must produce bit-identical AVF fractions and window
- * series; the table records the per-workload times plus the
- * ref-over-simd and scalar-over-simd speedups and their geomeans.
+ * series; the table records the per-workload times (best of
+ * --repeats rounds, each running every column once) plus the
+ * ref-over-dispatched and ref-over-portable speedups and their
+ * geomeans.
  *
  *   micro_sweep_kernel [--workloads=a,b] [--scale=N] [--modes=8]
  *                      [--repeats=3] [--threads=N] [--min-speedup=X]
- *                      [--min-simd-speedup=Y]
+ *                      [--min-portable-speedup=Y]
  *
  * Exit status is nonzero if any path's results diverge from the
- * reference, if the geomean ref-over-simd speedup falls below
- * --min-speedup, or if the geomean scalar-over-simd speedup falls
- * below --min-simd-speedup (0 disables either gate; the SIMD gate is
- * skipped, with a note, when the host has no AVX2 path or
- * --modes=1 pins the dispatch to scalar). Workloads below the
- * --min-speedup floor are listed in the manifest's run section as
- * "below_floor", so CI failures name the regressing subset instead
- * of just the aggregate. CI runs both floors so a kernel perf
- * regression fails the bench-smoke job directly, independent of
- * runner-to-runner timing noise in the manifests.
+ * reference, if the geomean ref-over-dispatched speedup falls below
+ * --min-speedup, or if the geomean ref-over-portable speedup falls
+ * below --min-portable-speedup (0 disables either gate). Workloads
+ * below the --min-speedup floor are listed in the manifest's run
+ * section as "below_floor", so CI failures name the regressing
+ * subset instead of just the aggregate. CI runs both floors so a
+ * kernel perf regression on either build fails the bench-smoke job
+ * directly, independent of runner-to-runner timing noise in the
+ * manifests.
  */
 
 #include <cstdio>
@@ -82,41 +83,20 @@ sameSweep(const ModeSweep &a, const ModeSweep &b)
     return true;
 }
 
-/** Best-of-@p repeats wall time of one sweepModes() call, seconds. */
-double
-timeSweep(const PhysicalArray &array, const LifetimeStore &store,
-          const ProtectionScheme &scheme, const MbAvfOptions &opt,
-          unsigned max_mode, unsigned repeats, ModeSweep &out)
+/**
+ * Time one @p sweep() call into @p out, keeping the best wall time
+ * so far in @p best (seconds, 0 before the first call).
+ */
+template <typename Sweep>
+void
+timeSweep(double &best, ModeSweep &out, const Sweep &sweep)
 {
-    double best = 0.0;
-    for (unsigned r = 0; r < repeats; ++r) {
-        obs::Stopwatch watch;
-        ModeSweep sweep = sweepModes(array, store, scheme, opt, max_mode);
-        double s = watch.seconds();
-        if (r == 0 || s < best)
-            best = s;
-        out = std::move(sweep);
-    }
-    return best;
-}
-
-/** Same, over a pre-built (here: disk-mapped) arena. */
-double
-timeSweepArena(const PhysicalArray &array, const LifetimeArena &arena,
-               const ProtectionScheme &scheme, const MbAvfOptions &opt,
-               unsigned max_mode, unsigned repeats, ModeSweep &out)
-{
-    double best = 0.0;
-    for (unsigned r = 0; r < repeats; ++r) {
-        obs::Stopwatch watch;
-        ModeSweep sweep =
-            sweepModesArena(array, arena, scheme, opt, max_mode);
-        double s = watch.seconds();
-        if (r == 0 || s < best)
-            best = s;
-        out = std::move(sweep);
-    }
-    return best;
+    obs::Stopwatch watch;
+    ModeSweep result = sweep();
+    const double s = watch.seconds();
+    if (best == 0.0 || s < best)
+        best = s;
+    out = std::move(result);
 }
 
 } // namespace
@@ -134,21 +114,19 @@ main(int argc, char **argv)
     const unsigned repeats =
         static_cast<unsigned>(args.getInt("repeats", 3));
     const double min_speedup = args.getDouble("min-speedup", 0.0);
-    const double min_simd = args.getDouble("min-simd-speedup", 0.0);
-    // --modes=1 dispatches to the scalar kernel by design, so the
-    // simd and scalar columns measure the same code there.
-    const bool simd_live =
-        detail::avx2KernelAvailable() && max_mode > 1;
+    const double min_portable =
+        args.getDouble("min-portable-speedup", 0.0);
+    const bool avx2 = detail::avx2KernelAvailable();
 
     std::cout << "sweep kernel ladder: reference per-mode path vs "
-                 "scalar / simd / mmap arena kernel, "
-              << max_mode << " modes (simd "
-              << (simd_live ? "avx2" : "scalar fallback") << ")\n\n";
+                 "portable / dispatched / mmap arena kernel, "
+              << max_mode << " modes (dispatched build "
+              << (avx2 ? "avx2" : "portable") << ")\n\n";
 
-    Table table({"workload", "ref ms", "scalar ms", "simd ms",
-                 "mmap ms", "speedup", "simd x"});
+    Table table({"workload", "ref ms", "portable ms", "dispatched ms",
+                 "mmap ms", "speedup", "portable x"});
     RunningStats g_speedup;
-    RunningStats g_simd;
+    RunningStats g_portable;
     ParityScheme parity;
     bool identical = true;
     std::vector<std::string> below_floor;
@@ -165,18 +143,6 @@ main(int argc, char **argv)
         opt.numWindows = 8;
         opt.numThreads = threads;
 
-        ModeSweep ref, scalar, simd, mapped;
-        opt.referenceKernel = true;
-        double ref_s = timeSweep(*array, run.l1, parity, opt,
-                                 max_mode, repeats, ref);
-        opt.referenceKernel = false;
-        opt.scalarKernel = true;
-        double scalar_s = timeSweep(*array, run.l1, parity, opt,
-                                    max_mode, repeats, scalar);
-        opt.scalarKernel = false;
-        double simd_s = timeSweep(*array, run.l1, parity, opt,
-                                  max_mode, repeats, simd);
-
         // Persist + map back: the disk round trip must neither
         // change a single bit nor cost measurable sweep time.
         const std::string arena_path =
@@ -190,31 +156,56 @@ main(int argc, char **argv)
                       << error << "\n";
             return 1;
         }
-        double mmap_s = timeSweepArena(*array, *disk_arena, parity,
-                                       opt, max_mode, repeats, mapped);
+
+        // Each round times every column once, so load that drifts on
+        // a shared host lands on all columns alike instead of skewing
+        // the ratios the gates read.
+        ModeSweep ref, portable, dispatched, mapped;
+        MbAvfOptions ref_opt = opt;
+        ref_opt.referenceKernel = true;
+        double ref_s = 0, portable_s = 0, dispatched_s = 0, mmap_s = 0;
+        for (unsigned r = 0; r < repeats; ++r) {
+            timeSweep(ref_s, ref, [&] {
+                return sweepModes(*array, run.l1, parity, ref_opt,
+                                  max_mode);
+            });
+            // Flatten inside the timed call, as sweepModes() does.
+            timeSweep(portable_s, portable, [&] {
+                return ModeSweep{detail::computeMbAvfModes(
+                    *array, LifetimeArena(run.l1), parity, opt,
+                    max_mode, detail::sweepRowsPortable)};
+            });
+            timeSweep(dispatched_s, dispatched, [&] {
+                return sweepModes(*array, run.l1, parity, opt, max_mode);
+            });
+            timeSweep(mmap_s, mapped, [&] {
+                return sweepModesArena(*array, *disk_arena, parity, opt,
+                                       max_mode);
+            });
+        }
         std::remove(arena_path.c_str());
 
-        if (!sameSweep(ref, scalar) || !sameSweep(ref, simd) ||
+        if (!sameSweep(ref, portable) || !sameSweep(ref, dispatched) ||
             !sameSweep(ref, mapped)) {
             std::cerr << "FAIL: kernel results diverge from the "
                          "reference path on " << name << "\n";
             identical = false;
         }
 
-        double speedup = simd_s > 0 ? ref_s / simd_s : 0.0;
-        double simd_x = simd_s > 0 ? scalar_s / simd_s : 0.0;
+        double speedup = dispatched_s > 0 ? ref_s / dispatched_s : 0.0;
+        double portable_x = portable_s > 0 ? ref_s / portable_s : 0.0;
         g_speedup.add(speedup);
-        g_simd.add(simd_x);
+        g_portable.add(portable_x);
         if (min_speedup > 0 && speedup < min_speedup)
             below_floor.push_back(name);
         table.beginRow()
             .cell(name)
             .cell(ref_s * 1e3, 2)
-            .cell(scalar_s * 1e3, 2)
-            .cell(simd_s * 1e3, 2)
+            .cell(portable_s * 1e3, 2)
+            .cell(dispatched_s * 1e3, 2)
             .cell(mmap_s * 1e3, 2)
             .cell(speedup, 2)
-            .cell(simd_x, 2);
+            .cell(portable_x, 2);
     }
 
     table.beginRow()
@@ -224,13 +215,13 @@ main(int argc, char **argv)
         .cell("")
         .cell("")
         .cell(g_speedup.geomean(), 2)
-        .cell(g_simd.geomean(), 2);
+        .cell(g_portable.geomean(), 2);
     bench.emit(table);
     bench.meta("modes", static_cast<std::uint64_t>(max_mode));
     bench.meta("repeats", static_cast<std::uint64_t>(repeats));
     bench.meta("min_speedup", min_speedup);
-    bench.meta("min_simd_speedup", min_simd);
-    bench.meta("simd", std::string(simd_live ? "avx2" : "scalar"));
+    bench.meta("min_portable_speedup", min_portable);
+    bench.meta("dispatch", std::string(avx2 ? "avx2" : "portable"));
     obs::JsonValue floor_list = obs::JsonValue::array();
     for (const std::string &name : below_floor)
         floor_list.push(obs::JsonValue(name));
@@ -254,16 +245,11 @@ main(int argc, char **argv)
         std::cout << "\n";
         return 1;
     }
-    if (min_simd > 0) {
-        if (!simd_live) {
-            std::cout << "note: --min-simd-speedup skipped (no simd "
-                         "path on this build/host)\n";
-        } else if (g_simd.geomean() < min_simd) {
-            std::cout << "FAIL: geomean simd-over-scalar speedup "
-                      << g_simd.geomean() << "x below the required "
-                      << min_simd << "x\n";
-            return 1;
-        }
+    if (min_portable > 0 && g_portable.geomean() < min_portable) {
+        std::cout << "FAIL: geomean ref-over-portable speedup "
+                  << g_portable.geomean() << "x below the required "
+                  << min_portable << "x\n";
+        return 1;
     }
     return 0;
 }

@@ -483,17 +483,6 @@ tryLoadArena(const std::string &path, std::string &error,
     return ArenaIo::tryLoad(path, error, horizon);
 }
 
-LifetimeArena
-loadArena(const std::string &path, Cycle *horizon)
-{
-    std::string error;
-    std::optional<LifetimeArena> arena =
-        tryLoadArena(path, error, horizon);
-    if (!arena)
-        fatal("arena file '", path, "': ", error);
-    return std::move(*arena);
-}
-
 ArenaStreamWriter::ArenaStreamWriter(std::string path,
                                      unsigned word_width,
                                      unsigned words_per_container,

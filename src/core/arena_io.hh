@@ -8,7 +8,7 @@
  * under many schemes and layouts pays it on every run. saveArena()
  * writes the arena's columns verbatim into a versioned, 64-byte
  * aligned, little-endian file (format: DESIGN.md Section 13) and
- * loadArena() maps it back read-only — the loaded arena aliases the
+ * tryLoadArena() maps it back read-only — the loaded arena aliases the
  * mapping, so load time and memory are O(1) in the segment count and
  * a mapped arena is indistinguishable from a built one to the sweep
  * kernels (bit-identical results at any thread count).
@@ -70,10 +70,6 @@ void saveArena(const LifetimeArena &arena, const std::string &path,
 std::optional<LifetimeArena> tryLoadArena(const std::string &path,
                                           std::string &error,
                                           Cycle *horizon = nullptr);
-
-/** Loading convenience for trusting callers; fatal on any problem. */
-LifetimeArena loadArena(const std::string &path,
-                        Cycle *horizon = nullptr);
 
 /**
  * Streaming writer producing byte-identical output to

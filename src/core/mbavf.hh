@@ -80,15 +80,6 @@ struct MbAvfOptions
      * bench/micro_sweep_kernel's before/after measurement.
      */
     bool referenceKernel = false;
-
-    /**
-     * Force the arena kernel's portable scalar implementation even
-     * when the runtime-dispatched AVX2 kernel is available. The two
-     * are bit-identical on every input; the flag exists for
-     * differential testing and for benchmarking the SIMD speedup
-     * against the scalar arena baseline.
-     */
-    bool scalarKernel = false;
 };
 
 /** Result of one MB-AVF computation. */
@@ -133,16 +124,13 @@ class LifetimeArena;
  * contiguous wordline mode 1x1 .. (max_mode)x1 in one traversal of
  * the array.
  *
- * For each anchor position the kernel merges the member words'
- * segment boundaries once (reading the flat arena, not per-word
- * vectors) and, per elementary time slice, grows the fault group one
- * member at a time: after member m joins, the per-region flip
- * counts, ACE/read state, and region outcomes are updated
- * incrementally (only the region the new member lands in can
- * change), and the group outcome for mode (m)x1 is emitted into that
- * mode's accumulator. An M-mode sweep therefore costs O(M) region
- * updates per slice instead of the per-mode path's O(M^2), and one
- * boundary merge per anchor instead of M.
+ * Each row is swept once in global time order over the flat arena:
+ * a word's segment transition updates per-column live/read bitsets,
+ * and only the anchors whose window holds a changed column are
+ * re-classified. Lane j of block B carries the prefix group of
+ * length B*L + j + 1, so one vector op advances the L modes of a
+ * block at once (core/lane_kernel.hh). The kernel runs as an AVX2
+ * build when the host supports it and as a portable build otherwise.
  *
  * results[m-1] is bit-identical to
  * computeMbAvf(array, store, scheme, mx1(m), opt) — AVF fractions,

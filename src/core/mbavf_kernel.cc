@@ -1,13 +1,17 @@
 /**
  * @file
- * Out-of-line accumulator machinery shared by the sweep kernels.
+ * The portable build of the lane-per-prefix sweep kernel
+ * (core/lane_kernel.hh), plus the out-of-line accumulator machinery
+ * both builds share.
  *
- * Compiled without SIMD flags on purpose: these methods are called
- * from both the scalar and the AVX2 translation units, so their one
- * definition must stay portable (see the note in mbavf_kernel.hh).
+ * Compiled without SIMD flags on purpose: the accumulator methods
+ * are called from both builds, so their one definition must stay
+ * portable (see the note in mbavf_kernel.hh).
  */
 
 #include "core/mbavf_kernel.hh"
+
+#include "core/lane_kernel.hh"
 
 #include <algorithm>
 
@@ -96,6 +100,14 @@ ModeAccumulators::ModeAccumulators(Cycle horizon, unsigned num_windows,
     modes.reserve(max_mode);
     for (unsigned m = 0; m < max_mode; ++m)
         modes.emplace_back(horizon, num_windows);
+}
+
+void
+sweepRowsPortable(const SweepCtx &ctx, std::uint64_t row_begin,
+                  std::uint64_t row_end, ModeAccumulators &out,
+                  SweepTallies &tallies)
+{
+    sweepRowsLanes(ctx, row_begin, row_end, out, tallies);
 }
 
 void

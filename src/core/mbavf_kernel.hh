@@ -2,19 +2,19 @@
  * @file
  * Internals shared by the sweep-kernel translation units.
  *
- * The single-pass multi-mode kernel has two implementations: the
- * portable scalar kernel in core/mbavf.cc (the differential oracle
- * and non-x86 fallback) and the AVX2 lane-per-prefix kernel in
- * core/mbavf_kernel_avx2.cc, compiled with -mavx2 and selected at
- * runtime. Both emit into the same accumulator types, so the pieces
- * they share live here.
+ * The single-pass multi-mode kernel is one source, core/lane_kernel.hh,
+ * built twice: portably in core/mbavf_kernel.cc and with -mavx2 in
+ * core/mbavf_kernel_avx2.cc, selected at runtime. Both builds emit
+ * into the same accumulator types, so the pieces they share live
+ * here.
  *
  * This header is internal to src/core — not part of the public API.
  * The accumulator methods with loops are deliberately defined
- * out-of-line (core/mbavf_kernel.cc, compiled without -mavx2): if
- * they were inline, the linker could keep the AVX2-compiled copy of
- * a shared weak symbol and feed illegal instructions to the scalar
- * path on pre-AVX2 hardware.
+ * out-of-line (core/mbavf_kernel.cc, compiled without -mavx2), and
+ * everything in lane_kernel.hh has internal linkage: if the two
+ * builds shared a weak inline or template symbol, the linker could
+ * keep the AVX2-compiled copy and feed illegal instructions to the
+ * portable path on pre-AVX2 hardware.
  */
 
 #ifndef MBAVF_CORE_MBAVF_KERNEL_HH
@@ -28,6 +28,7 @@
 #include "common/types.hh"
 #include "core/ace_class.hh"
 #include "core/layout.hh"
+#include "core/mbavf.hh"
 #include "core/protection.hh"
 
 namespace mbavf
@@ -149,22 +150,6 @@ class OutcomeAccumulator
     std::vector<Cycle> bounds_;
 };
 
-/**
- * One change point of a single physical bit's lifetime: from @c at
- * onward the bit is ACE-live and/or read-shadowed, until the bit's
- * next event. Both zero is equivalent to a lifetime gap. Events at
- * or after the sweep horizon are never materialized — they cannot
- * open a slice, and a close at exactly the horizon would collide
- * with the kernels' no-pending-event sentinel when the horizon is
- * UINT64_MAX (open runs are flushed to the horizon instead).
- */
-struct BitEvent
-{
-    Cycle at;
-    std::uint8_t live;
-    std::uint8_t read;
-};
-
 /** One OutcomeAccumulator per mode, merged pairwise in band order. */
 struct ModeAccumulators
 {
@@ -176,7 +161,7 @@ struct ModeAccumulators
     void mergeFrom(const ModeAccumulators &other);
 };
 
-/** Inputs of one multi-mode row-band sweep, shared by both kernels. */
+/** Inputs of one multi-mode row-band sweep, shared by both builds. */
 struct SweepCtx
 {
     const PhysicalArray *array = nullptr;
@@ -196,21 +181,42 @@ struct SweepTallies
 };
 
 /**
- * True when the AVX2 kernel is compiled in (MBAVF_SIMD on x86-64)
+ * True when the AVX2 build is compiled in (MBAVF_SIMD on x86-64)
  * and this CPU supports AVX2. Cheap enough to query per call.
  */
 bool avx2KernelAvailable();
 
 /**
- * AVX2 lane-per-prefix row-band sweep: process anchor rows
+ * Lane-per-prefix row-band sweep: process anchor rows
  * [row_begin, row_end), accumulating every mode 1x1..maxMode x1 into
- * @p out. Bit-identical to the scalar kernel in core/mbavf.cc —
- * same elementary slices, same run coalescing rule, same counters.
- * Must only be called when avx2KernelAvailable() is true.
+ * @p out. The two builds are bit-identical to each other and to the
+ * per-mode reference path.
  */
+using RowSweepFn = void (*)(const SweepCtx &ctx, std::uint64_t row_begin,
+                            std::uint64_t row_end, ModeAccumulators &out,
+                            SweepTallies &tallies);
+
+/** The portable build; runs on every host. */
+void sweepRowsPortable(const SweepCtx &ctx, std::uint64_t row_begin,
+                       std::uint64_t row_end, ModeAccumulators &out,
+                       SweepTallies &tallies);
+
+/** The -mavx2 build; only when avx2KernelAvailable() is true. */
 void sweepRowsAvx2(const SweepCtx &ctx, std::uint64_t row_begin,
                    std::uint64_t row_end, ModeAccumulators &out,
                    SweepTallies &tallies);
+
+/**
+ * mbavf::computeMbAvfModes() with the row sweep pinned to
+ * @p sweep_rows instead of dispatched (how the differential tests
+ * and bench/micro_sweep_kernel reach the portable build).
+ */
+std::vector<MbAvfResult> computeMbAvfModes(const PhysicalArray &array,
+                                           const LifetimeArena &arena,
+                                           const ProtectionScheme &scheme,
+                                           const MbAvfOptions &opt,
+                                           unsigned max_mode,
+                                           RowSweepFn sweep_rows);
 
 } // namespace detail
 } // namespace mbavf

@@ -293,16 +293,6 @@ Wave::muli(unsigned dst, unsigned a, std::uint32_t imm)
 }
 
 void
-Wave::mini(unsigned dst, unsigned a, std::uint32_t imm)
-{
-    immOp(dst, a, imm, false,
-          [](std::uint32_t x, std::uint32_t y) {
-              return x < y ? x : y;
-          },
-          allBits);
-}
-
-void
 Wave::minu(unsigned dst, unsigned a, unsigned b)
 {
     binaryOp(dst, a, b, false,
@@ -364,13 +354,6 @@ Wave::andi(unsigned dst, unsigned a, std::uint32_t imm)
 }
 
 void
-Wave::ori(unsigned dst, unsigned a, std::uint32_t imm)
-{
-    immOp(dst, a, imm, true,
-          [](std::uint32_t x, std::uint32_t y) { return x | y; }, ~imm);
-}
-
-void
 Wave::xori(unsigned dst, unsigned a, std::uint32_t imm)
 {
     immOp(dst, a, imm, true,
@@ -414,16 +397,6 @@ Wave::cmpLtui(unsigned dst, unsigned a, std::uint32_t imm)
               return std::uint32_t(x < y);
           },
           allBits);
-}
-
-void
-Wave::cmpEq(unsigned dst, unsigned a, unsigned b)
-{
-    binaryOp(dst, a, b, false,
-             [](std::uint32_t x, std::uint32_t y) {
-                 return std::uint32_t(x == y);
-             },
-             relAll, relAll);
 }
 
 void

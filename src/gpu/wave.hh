@@ -76,7 +76,6 @@ class Wave
     void addi(unsigned dst, unsigned a, std::uint32_t imm);
     void subi(unsigned dst, unsigned a, std::uint32_t imm);
     void muli(unsigned dst, unsigned a, std::uint32_t imm);
-    void mini(unsigned dst, unsigned a, std::uint32_t imm);
     void minu(unsigned dst, unsigned a, unsigned b);
     void maxu(unsigned dst, unsigned a, unsigned b);
     /** dst = b ? a / b : 0 (unsigned). */
@@ -89,7 +88,6 @@ class Wave
     void or_(unsigned dst, unsigned a, unsigned b);
     void xor_(unsigned dst, unsigned a, unsigned b);
     void andi(unsigned dst, unsigned a, std::uint32_t imm);
-    void ori(unsigned dst, unsigned a, std::uint32_t imm);
     void xori(unsigned dst, unsigned a, std::uint32_t imm);
     void shli(unsigned dst, unsigned a, unsigned amount);
     void shri(unsigned dst, unsigned a, unsigned amount);
@@ -100,7 +98,6 @@ class Wave
     /** dst = (a < b) ? 1 : 0, unsigned compare. */
     void cmpLtu(unsigned dst, unsigned a, unsigned b);
     void cmpLtui(unsigned dst, unsigned a, std::uint32_t imm);
-    void cmpEq(unsigned dst, unsigned a, unsigned b);
     void cmpEqi(unsigned dst, unsigned a, std::uint32_t imm);
     /** dst = pred != 0 ? a : b; only the taken operand is consumed. */
     void select(unsigned dst, unsigned pred, unsigned a, unsigned b);

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <limits>
 
 #include "common/journal_io.hh"
+#include "core/mbavf_kernel.hh"
 
 namespace mbavf::serve
 {
@@ -49,6 +51,23 @@ getUint(const obs::JsonValue &job, const char *key,
         return false;
     }
     out = v->asUint();
+    return true;
+}
+
+/** getUint() into an unsigned field; values that do not fit fail. */
+bool
+getUnsigned(const obs::JsonValue &job, const char *key, unsigned &out,
+            std::string &error)
+{
+    std::uint64_t wide = out;
+    if (!getUint(job, key, wide, error))
+        return false;
+    if (wide > std::numeric_limits<unsigned>::max()) {
+        error = std::string("job field '") + key +
+                "' does not fit in 32 bits";
+        return false;
+    }
+    out = static_cast<unsigned>(wide);
     return true;
 }
 
@@ -106,19 +125,14 @@ parseJob(const obs::JsonValue &doc, std::size_t index,
         return false;
     }
 
-    std::uint64_t scale = job.scale;
-    std::uint64_t interleave = job.interleave;
-    std::uint64_t modes = job.modes;
-    std::uint64_t windows = job.windows;
-    std::uint64_t protect_domain = job.protectDomain;
     const bool ok = getString(doc, "workload", job.workload, error) &&
-        getUint(doc, "scale", scale, error) &&
+        getUnsigned(doc, "scale", job.scale, error) &&
         getString(doc, "structure", job.structure, error) &&
         getString(doc, "scheme", job.scheme, error) &&
         getString(doc, "style", job.style, error) &&
-        getUint(doc, "interleave", interleave, error) &&
-        getUint(doc, "modes", modes, error) &&
-        getUint(doc, "windows", windows, error) &&
+        getUnsigned(doc, "interleave", job.interleave, error) &&
+        getUnsigned(doc, "modes", job.modes, error) &&
+        getUnsigned(doc, "windows", job.windows, error) &&
         getBool(doc, "shield_due", job.shieldDue, error) &&
         getDouble(doc, "total_fit", job.totalFit, error) &&
         getString(doc, "arena", job.arenaIn, error) &&
@@ -127,27 +141,18 @@ parseJob(const obs::JsonValue &doc, std::size_t index,
         getString(doc, "kind", job.kind, error) &&
         getDouble(doc, "watchdog", job.watchdog, error) &&
         getString(doc, "protect", job.protect, error) &&
-        getUint(doc, "protect_domain", protect_domain, error) &&
+        getUnsigned(doc, "protect_domain", job.protectDomain, error) &&
         getUint(doc, "shard_trials", job.shardTrials, error) &&
         getString(doc, "fault", job.fault, error);
-    std::uint64_t stratify_windows = job.stratifyWindows;
-    std::uint64_t stratify_classes = job.stratifyClasses;
     const bool strat_ok = ok &&
         getBool(doc, "stratify", job.stratify, error) &&
-        getUint(doc, "stratify_windows", stratify_windows, error) &&
-        getUint(doc, "stratify_classes", stratify_classes, error) &&
+        getUnsigned(doc, "stratify_windows", job.stratifyWindows, error) &&
+        getUnsigned(doc, "stratify_classes", job.stratifyClasses, error) &&
         getUint(doc, "budget", job.budget, error);
     if (!ok || !strat_ok) {
         error = "job " + std::to_string(index) + ": " + error;
         return false;
     }
-    job.scale = static_cast<unsigned>(scale);
-    job.interleave = static_cast<unsigned>(interleave);
-    job.modes = static_cast<unsigned>(modes);
-    job.windows = static_cast<unsigned>(windows);
-    job.protectDomain = static_cast<unsigned>(protect_domain);
-    job.stratifyWindows = static_cast<unsigned>(stratify_windows);
-    job.stratifyClasses = static_cast<unsigned>(stratify_classes);
 
     if (job.type == JobType::Sweep) {
         if (job.workload.empty() == job.arenaIn.empty()) {
@@ -155,9 +160,10 @@ parseJob(const obs::JsonValue &doc, std::size_t index,
                     ": a sweep needs exactly one of workload/arena";
             return false;
         }
-        if (job.modes == 0) {
+        if (job.modes == 0 || job.modes > detail::maxModeBits) {
             error = "job " + std::to_string(index) +
-                    ": modes must be at least 1";
+                    ": modes must be in 1.." +
+                    std::to_string(detail::maxModeBits);
             return false;
         }
     } else {

@@ -19,6 +19,7 @@
 #include "common/rng.hh"
 #include "core/arena_io.hh"
 #include "core/lifetime_arena.hh"
+#include "core/mbavf_kernel.hh"
 #include "core/protection.hh"
 #include "core/sweep.hh"
 
@@ -278,10 +279,13 @@ TEST(ArenaIo, MappedSweepIsBitIdenticalAtAnyThreadCount)
     opt.numThreads = 4;
     ModeSweep t4 = sweepModesArena(array, *loaded, parity, opt, 6);
     EXPECT_TRUE(sameSweep(direct, t4));
-    // The scalar kernel must agree off the mapped columns too.
-    opt.scalarKernel = true;
-    ModeSweep scalar = sweepModesArena(array, *loaded, parity, opt, 6);
-    EXPECT_TRUE(sameSweep(direct, scalar));
+    // The portable build must agree off the mapped columns too.
+    for (const unsigned threads : {1u, 4u}) {
+        opt.numThreads = threads;
+        const ModeSweep portable{detail::computeMbAvfModes(
+            array, *loaded, parity, opt, 6, detail::sweepRowsPortable)};
+        EXPECT_TRUE(sameSweep(direct, portable)) << threads;
+    }
 }
 
 TEST(ArenaIo, EmptyStoreRoundTrips)

@@ -6,8 +6,10 @@
  * Random lifetime stores over random physical layouts, swept under
  * every protection scheme at varied horizons and window counts, must
  * produce bit-identical AVF fractions, per-window series, group
- * counts, and SER folds — serially and on the thread pool. Seeds are
- * fixed (splitMix64 streams), so any failure is exactly reproducible.
+ * counts, and SER folds — serially and on the thread pool, through
+ * both builds of the arena kernel (the dispatched one, AVX2 where the
+ * host has it, and the portable one on every host). Seeds are fixed
+ * (splitMix64 streams), so any failure is exactly reproducible.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 
 #include "common/rng.hh"
 #include "core/layout.hh"
+#include "core/lifetime_arena.hh"
+#include "core/mbavf_kernel.hh"
 #include "core/sweep.hh"
 
 namespace mbavf
@@ -127,10 +131,35 @@ expectIdentical(const ModeSweep &ref, const ModeSweep &got,
 }
 
 /**
+ * Both builds of the arena kernel — dispatched and pinned portable —
+ * at 1 and 4 threads must reproduce @p ref exactly.
+ */
+void
+expectBothBuilds(const ModeSweep &ref, const PhysicalArray &array,
+                 const LifetimeStore &store,
+                 const ProtectionScheme &scheme, MbAvfOptions opt,
+                 unsigned max_mode, const std::string &label)
+{
+    const LifetimeArena arena(store);
+    for (const unsigned threads : {1u, 4u}) {
+        opt.numThreads = threads;
+        const std::string at =
+            label + " t" + std::to_string(threads);
+        expectIdentical(ref,
+                        sweepModes(array, store, scheme, opt, max_mode),
+                        at + " dispatched");
+        expectIdentical(ref,
+                        {detail::computeMbAvfModes(
+                            array, arena, scheme, opt, max_mode,
+                            detail::sweepRowsPortable)},
+                        at + " portable");
+    }
+}
+
+/**
  * Sweep @p array / @p store through a random scheme, horizon, window
- * count, and combine rule, with the reference path and the arena
- * kernel — dispatched (AVX2 where available) and pinned scalar — at
- * 1 and 4 threads; all paths must agree exactly. @p forced_max_mode
+ * count, and combine rule, with the reference path and both builds
+ * of the arena kernel; all paths must agree exactly. @p forced_max_mode
  * of 0 draws a random mode count in [1, 8]; wide-mode callers pass
  * an explicit value up to 64.
  */
@@ -161,21 +190,7 @@ runTrial(const PhysicalArray &array, const LifetimeStore &store,
     const ModeSweep ref =
         sweepModes(array, store, *scheme, ref_opt, max_mode);
 
-    expectIdentical(ref, sweepModes(array, store, *scheme, opt,
-                                    max_mode),
-                    at + " serial");
-
-    MbAvfOptions scalar = opt;
-    scalar.scalarKernel = true;
-    expectIdentical(ref, sweepModes(array, store, *scheme, scalar,
-                                    max_mode),
-                    at + " scalar");
-
-    MbAvfOptions pooled = opt;
-    pooled.numThreads = 4;
-    expectIdentical(ref, sweepModes(array, store, *scheme, pooled,
-                                    max_mode),
-                    at + " pooled");
+    expectBothBuilds(ref, array, store, *scheme, opt, max_mode, at);
 }
 
 TEST(SweepKernelFuzz, CacheLayouts)
@@ -195,9 +210,12 @@ TEST(SweepKernelFuzz, CacheLayouts)
         auto array = makeCacheArray(geom, style, factor);
         LifetimeStore store = randomStore(
             rng, 8, geom.lineBytes, geom.numLines(), 120);
-        runTrial(*array, store, rng,
-                 "cache " + cacheInterleaveName(style) + " seed " +
-                     std::to_string(seed));
+        const std::string label = "cache " +
+                                  cacheInterleaveName(style) +
+                                  " seed " + std::to_string(seed);
+        runTrial(*array, store, rng, label);
+        // One live lane per block, as in every single-bit AVF sweep.
+        runTrial(*array, store, rng, label + " single mode", 1);
     }
 }
 
@@ -294,21 +312,7 @@ TEST(SweepKernelFuzz, ExtremeHorizons)
                 "extreme horizon " +
                 std::to_string(kMax - horizon) + " below max, W=" +
                 std::to_string(windows);
-            expectIdentical(ref,
-                            sweepModes(array, store, *scheme, opt, 8),
-                            at);
-            MbAvfOptions scalar = opt;
-            scalar.scalarKernel = true;
-            expectIdentical(ref,
-                            sweepModes(array, store, *scheme, scalar,
-                                       8),
-                            at + " scalar");
-            MbAvfOptions pooled = opt;
-            pooled.numThreads = 4;
-            expectIdentical(ref,
-                            sweepModes(array, store, *scheme, pooled,
-                                       8),
-                            at + " pooled");
+            expectBothBuilds(ref, array, store, *scheme, opt, 8, at);
         }
     }
 }

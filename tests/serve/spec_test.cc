@@ -85,6 +85,35 @@ TEST(ServeSpec, RejectsMalformedJobs)
         std::string::npos);
 }
 
+TEST(ServeSpec, RejectsOutOfRangeFields)
+{
+    // 2^32 + 1 must not narrow silently to 1.
+    EXPECT_NE(parseError(R"({"jobs": [{"type": "sweep",
+            "workload": "histogram", "modes": 4294967297}]})")
+                  .find("'modes' does not fit in 32 bits"),
+              std::string::npos);
+    EXPECT_NE(parseError(R"({"jobs": [{"type": "campaign",
+            "workload": "histogram", "trials": 4,
+            "stratify_classes": 4294967296}]})")
+                  .find("'stratify_classes' does not fit in 32 bits"),
+              std::string::npos);
+    // Past the sweep kernel's widest mode: rejected here, not by a
+    // fatal() inside the shard worker.
+    EXPECT_NE(parseError(R"({"jobs": [{"type": "sweep",
+            "workload": "histogram", "modes": 65}]})")
+                  .find("modes must be in 1..64"),
+              std::string::npos);
+    EXPECT_NE(parseError(R"({"jobs": [{"type": "sweep",
+            "workload": "histogram", "modes": 0}]})")
+                  .find("modes must be in 1..64"),
+              std::string::npos);
+    EXPECT_EQ(parseSpec(R"({"jobs": [{"type": "sweep",
+            "workload": "histogram", "modes": 64}]})")
+                  .jobs[0]
+                  .modes,
+              64u);
+}
+
 TEST(ServeSpec, CanonicalIsStableAcrossFormatting)
 {
     const JobSpec a = parseSpec(R"({"jobs": [

@@ -1,14 +1,11 @@
 /**
  * @file
- * Tests for the cycle engine: clock and deterministic event queue.
+ * Tests for the cycle engine clock.
  */
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "sim/clock.hh"
-#include "sim/event_queue.hh"
 
 namespace mbavf
 {
@@ -27,51 +24,6 @@ TEST(Clock, AdvanceAndAdvanceTo)
     EXPECT_EQ(c.now(), 9u);
     c.reset();
     EXPECT_EQ(c.now(), 0u);
-}
-
-TEST(EventQueue, RunsInTimeOrder)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(30, [&](Cycle) { order.push_back(3); });
-    q.schedule(10, [&](Cycle) { order.push_back(1); });
-    q.schedule(20, [&](Cycle) { order.push_back(2); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, SameCycleIsFifo)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(7, [&, i](Cycle) { order.push_back(i); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RunUntilStopsBeforeBoundary)
-{
-    EventQueue q;
-    std::vector<Cycle> fired;
-    q.schedule(5, [&](Cycle t) { fired.push_back(t); });
-    q.schedule(10, [&](Cycle t) { fired.push_back(t); });
-    q.runUntil(10);
-    EXPECT_EQ(fired, (std::vector<Cycle>{5}));
-    EXPECT_FALSE(q.empty());
-    EXPECT_EQ(q.nextTime(), 10u);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    std::vector<Cycle> fired;
-    q.schedule(1, [&](Cycle t) {
-        fired.push_back(t);
-        q.schedule(t + 1, [&](Cycle t2) { fired.push_back(t2); });
-    });
-    q.runAll();
-    EXPECT_EQ(fired, (std::vector<Cycle>{1, 2}));
 }
 
 } // namespace
