@@ -237,8 +237,8 @@ makeRegFileArray(const RegFileGeometry &geom, RegInterleave style,
     return std::make_unique<RegFileArray>(geom, style, interleave);
 }
 
-CacheInterleave
-parseCacheInterleave(const std::string &name)
+std::optional<CacheInterleave>
+tryParseCacheInterleave(const std::string &name)
 {
     if (name == "logical")
         return CacheInterleave::Logical;
@@ -246,6 +246,14 @@ parseCacheInterleave(const std::string &name)
         return CacheInterleave::WayPhysical;
     if (name == "index")
         return CacheInterleave::IndexPhysical;
+    return std::nullopt;
+}
+
+CacheInterleave
+parseCacheInterleave(const std::string &name)
+{
+    if (const auto style = tryParseCacheInterleave(name))
+        return *style;
     fatal("unknown cache interleave style '", name, "'");
 }
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/types.hh"
@@ -148,7 +149,11 @@ std::unique_ptr<PhysicalArray>
 makeRegFileArray(const RegFileGeometry &geom, RegInterleave style,
                  unsigned interleave);
 
-/** Parse "logical" | "way" | "index". */
+/** Parse "logical" | "way" | "index"; nullopt on any other name. */
+std::optional<CacheInterleave>
+tryParseCacheInterleave(const std::string &name);
+
+/** tryParseCacheInterleave(), fatal on an unknown name. */
 CacheInterleave parseCacheInterleave(const std::string &name);
 
 /** Short display name of a cache interleaving style. */

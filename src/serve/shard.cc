@@ -3,11 +3,9 @@
 #include <unistd.h>
 
 #include <cstdlib>
-#include <memory>
 #include <optional>
 
 #include "core/arena_io.hh"
-#include "core/layout.hh"
 #include "core/lifetime_arena.hh"
 #include "core/protection.hh"
 #include "core/sweep.hh"
@@ -38,8 +36,16 @@ bool
 runSweepShard(const JobConfig &config, obs::JsonValue &out,
               std::string &error)
 {
-    GpuConfig gpu;
-    LifetimeStore life(8, 64);
+    const GpuConfig gpu;
+    const std::optional<AnalyzedStructure> target =
+        resolveStructure(config.structure, config.style,
+                         config.interleave, config.shieldDue, gpu,
+                         error);
+    if (!target)
+        return false;
+
+    // One arena: mapped from the job's file, or built once from the
+    // simulated structure (the run is dropped before the sweep).
     Cycle horizon = 0;
     std::optional<LifetimeArena> arena;
     if (!config.arenaIn.empty()) {
@@ -56,64 +62,23 @@ runSweepShard(const JobConfig &config, obs::JsonValue &out,
         }
     } else {
         AceRun run = runAceAnalysis(config.workload, config.scale,
-                                    gpu, config.structure == "l2");
+                                    gpu, target->measureL2());
         horizon = run.horizon;
-        if (config.structure == "l1")
-            life = std::move(run.l1);
-        else if (config.structure == "l2")
-            life = std::move(run.l2);
-        else if (config.structure == "vgpr")
-            life = std::move(run.vgpr);
-        else {
-            error = "unknown structure '" + config.structure + "'";
-            return false;
-        }
+        arena.emplace(target->lifetimes(run));
     }
-
-    const unsigned word_width =
-        arena ? arena->wordWidth() : life.wordWidth();
-    const unsigned expected_width =
-        config.structure == "vgpr" ? 32 : 8;
-    if (word_width != expected_width) {
-        error = "lifetime word width " +
-                std::to_string(word_width) +
-                " does not match structure '" + config.structure +
-                "'";
+    if (!target->checkWordWidth(arena->wordWidth(), error))
         return false;
-    }
-
-    const std::string style = config.effectiveStyle();
-    std::unique_ptr<PhysicalArray> array;
-    if (config.structure == "vgpr") {
-        if (style != "intra" && style != "inter") {
-            error = "vgpr style must be intra|inter";
-            return false;
-        }
-        array = makeRegFileArray(gpu.regs,
-                                 style == "intra"
-                                     ? RegInterleave::IntraThread
-                                     : RegInterleave::InterThread,
-                                 config.interleave);
-    } else {
-        const CacheParams &cp =
-            config.structure == "l2" ? gpu.l2 : gpu.l1;
-        CacheGeometry geom{cp.sets, cp.ways, cp.lineBytes};
-        array = makeCacheArray(geom, parseCacheInterleave(style),
-                               config.interleave);
-    }
 
     auto scheme = makeScheme(config.scheme);
     MbAvfOptions opt;
     opt.horizon = horizon;
     opt.numWindows = config.windows;
-    opt.dueShieldsSdc = config.shieldDue ||
-        (config.structure == "vgpr" && style == "inter");
+    opt.dueShieldsSdc = target->dueShieldsSdc;
 
     applyFaultInstrumentation(config);
 
-    ModeSweep sweep = arena
-        ? sweepModesArena(*array, *arena, *scheme, opt, config.modes)
-        : sweepModes(*array, life, *scheme, opt, config.modes);
+    ModeSweep sweep = sweepModesArena(*target->array, *arena, *scheme,
+                                      opt, config.modes);
     StructureSer ser =
         sweepSer(sweep, caseStudyFaultRates(config.totalFit));
 

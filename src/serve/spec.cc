@@ -7,6 +7,7 @@
 
 #include "common/journal_io.hh"
 #include "core/mbavf_kernel.hh"
+#include "workloads/ace_runner.hh"
 
 namespace mbavf::serve
 {
@@ -208,9 +209,7 @@ jobTypeName(JobType type)
 std::string
 JobConfig::effectiveStyle() const
 {
-    if (!style.empty())
-        return style;
-    return structure == "vgpr" ? "inter" : "way";
+    return style.empty() ? defaultStyle(structure) : style;
 }
 
 std::string

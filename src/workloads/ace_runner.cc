@@ -130,4 +130,77 @@ runAceAnalysis(const std::string &workload_name, unsigned scale,
     return runAceAnalysis(workload_name, options);
 }
 
+LifetimeStore &
+AnalyzedStructure::lifetimes(AceRun &run) const
+{
+    if (name == "l1")
+        return run.l1;
+    return name == "l2" ? run.l2 : run.vgpr;
+}
+
+bool
+AnalyzedStructure::checkWordWidth(unsigned word_width,
+                                  std::string &error) const
+{
+    if (word_width == wordWidth)
+        return true;
+    error = "lifetime word width " + std::to_string(word_width) +
+            " does not match structure '" + name + "'";
+    return false;
+}
+
+std::string
+defaultStyle(const std::string &structure)
+{
+    return structure == "vgpr" ? "inter" : "way";
+}
+
+std::optional<AnalyzedStructure>
+resolveStructure(const std::string &structure, const std::string &style,
+                 unsigned interleave, bool shield_due,
+                 const GpuConfig &config, std::string &error)
+{
+    AnalyzedStructure out;
+    out.name = structure;
+    out.style = style.empty() ? defaultStyle(structure) : style;
+    if (structure != "l1" && structure != "l2" &&
+        structure != "vgpr") {
+        error = "unknown structure '" + structure + "'";
+        return std::nullopt;
+    }
+    if (interleave == 0) {
+        error = "interleave factor must be >= 1";
+        return std::nullopt;
+    }
+    if (structure == "vgpr") {
+        if (out.style != "intra" && out.style != "inter") {
+            error = "vgpr style must be intra|inter";
+            return std::nullopt;
+        }
+        const bool intra = out.style == "intra";
+        out.array = makeRegFileArray(
+            config.regs,
+            intra ? RegInterleave::IntraThread
+                  : RegInterleave::InterThread,
+            interleave);
+        out.wordWidth = 32;
+        out.protectedBits = config.regs.regBits;
+        out.dueShieldsSdc = shield_due || !intra;
+        return out;
+    }
+    const std::optional<CacheInterleave> cache_style =
+        tryParseCacheInterleave(out.style);
+    if (!cache_style) {
+        error = "unknown cache interleave style '" + out.style + "'";
+        return std::nullopt;
+    }
+    const CacheParams &cp = structure == "l2" ? config.l2 : config.l1;
+    out.array = makeCacheArray({cp.sets, cp.ways, cp.lineBytes},
+                               *cache_style, interleave);
+    out.wordWidth = 8;
+    out.protectedBits = cp.lineBytes * 8;
+    out.dueShieldsSdc = shield_due;
+    return out;
+}
+
 } // namespace mbavf

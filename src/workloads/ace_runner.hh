@@ -2,17 +2,20 @@
  * @file
  * End-to-end ACE analysis driver: run a workload on the GPU model
  * with probes attached, resolve liveness, and return the per-bit
- * lifetime stores that the MB-AVF engine consumes.
+ * lifetime stores that the MB-AVF engine consumes; and resolve a
+ * structure name to its lifetimes and physical array.
  */
 
 #ifndef MBAVF_WORKLOADS_ACE_RUNNER_HH
 #define MBAVF_WORKLOADS_ACE_RUNNER_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "core/layout.hh"
 #include "core/lifetime.hh"
 #include "core/lifetime_builder.hh"
 #include "gpu/gpu.hh"
@@ -122,6 +125,56 @@ AceRun runAceAnalysis(const std::string &workload_name,
 AceRun runAceAnalysis(const std::string &workload_name,
                       unsigned scale = 1, GpuConfig config = {},
                       bool measure_l2 = false);
+
+/**
+ * One structure of the GPU model as the MB-AVF front-ends (mbavf,
+ * mbavf_serve, mbavf_analyze) analyze it: where its lifetimes come
+ * from, its physical bit array, and the sweep rules that go with it.
+ */
+struct AnalyzedStructure
+{
+    /** l1 | l2 | vgpr. */
+    std::string name;
+    /** The requested interleaving style, or the structure's default. */
+    std::string style;
+    std::unique_ptr<PhysicalArray> array;
+    /** Lifetime word width: 32-bit registers, 8-bit cache bytes. */
+    unsigned wordWidth = 8;
+    /** Data bits of one protected unit (register or cache line). */
+    unsigned protectedBits = 0;
+    /**
+     * MbAvfOptions::dueShieldsSdc: asked for, or implied by
+     * inter-thread VGPR interleaving.
+     */
+    bool dueShieldsSdc = false;
+
+    /** Whether runAceAnalysis must measure the L2 for lifetimes(). */
+    bool measureL2() const { return name == "l2"; }
+
+    /** The structure's lifetimes in @p run. */
+    LifetimeStore &lifetimes(AceRun &run) const;
+
+    /**
+     * False + @p error when lifetimes of @p word_width bits (say, a
+     * saved arena's) cannot belong to this structure.
+     */
+    bool checkWordWidth(unsigned word_width, std::string &error) const;
+};
+
+/** The interleaving style of @p structure when none is given. */
+std::string defaultStyle(const std::string &structure);
+
+/**
+ * Resolve @p structure (l1 | l2 | vgpr) of @p config with
+ * interleaving @p style (empty = defaultStyle()) and factor
+ * @p interleave; @p shield_due asks DUE detection to shield SDC.
+ * Returns nullopt and sets @p error on an unknown structure, a style
+ * the structure does not support, or a zero interleave factor.
+ */
+std::optional<AnalyzedStructure>
+resolveStructure(const std::string &structure, const std::string &style,
+                 unsigned interleave, bool shield_due,
+                 const GpuConfig &config, std::string &error);
 
 } // namespace mbavf
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the persistent arena format (core/arena_io.hh): exact
  * round trips, streamed-vs-snapshot byte identity, sweep bit-identity
- * off a mapped file at multiple thread counts, and strict loader
- * rejection of truncated or header-corrupted files.
+ * off a mapped file at multiple thread counts, strict loader
+ * rejection of truncated or header-corrupted files, and a seeded
+ * byte-mutation fuzz of the loader.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "check/arena_lint.hh"
+#include "check/report.hh"
 #include "common/rng.hh"
 #include "core/arena_io.hh"
 #include "core/lifetime_arena.hh"
@@ -379,22 +382,36 @@ TEST(ArenaIo, CorruptHeaderFieldsAreRejected)
 
 TEST(ArenaIo, MalformedSegmentColumnsAreRejected)
 {
-    // Two segments in one word; corrupting the begin column so the
-    // chain runs backwards or out of order must be rejected at load
-    // time: the sweep kernels subtract end - begin unchecked, so a
-    // wrapped run length would otherwise report garbage AVF with no
-    // diagnostic.
-    LifetimeStore store(8, 1);
-    WordLifetime &word = store.container(0).words[0];
-    word.append({5, 10, 0x1, 0x1});
-    word.append({20, 30, 0x3, 0x3});
+    // Two words of two segments each: word 0 owns segments [0, 2),
+    // word 1 owns [2, 4). Corrupting the begin column so a chain runs
+    // backwards or out of order must be rejected at load time: the
+    // sweep kernels subtract end - begin unchecked, so a wrapped run
+    // length would otherwise report garbage AVF with no diagnostic.
+    // Word ranges that leave a word empty, gap, overlap, or leave a
+    // segment unowned never come out of the writer and must not load
+    // either.
+    LifetimeStore store(8, 2);
+    for (WordLifetime &word : store.container(0).words) {
+        word.append({5, 10, 0x1, 0x1});
+        word.append({20, 30, 0x3, 0x3});
+    }
     const std::string path = tempPath("segorder_src.bin");
     saveArena(LifetimeArena(store), path, 40);
     const std::string bytes = readFile(path);
     std::remove(path.c_str());
 
-    // The segBegin column is the first section after the 128-byte
-    // header, one 8-byte little-endian Cycle per segment.
+    // Sections follow the 128-byte header, each 64-byte aligned; the
+    // segBegin column comes first, one 8-byte little-endian Cycle per
+    // segment.
+    auto align64 = [](std::size_t x) {
+        return (x + 63) & ~std::size_t(63);
+    };
+    const std::size_t seg_end = align64(128 + 4 * sizeof(Cycle));
+    const std::size_t seg_masks = align64(seg_end + 4 * sizeof(Cycle));
+    const std::size_t word_offset =
+        align64(seg_masks + 4 * sizeof(SegMasks));
+    const std::size_t word_count =
+        align64(word_offset + 2 * sizeof(std::uint32_t));
     struct Patch
     {
         const char *label;
@@ -406,6 +423,11 @@ TEST(ArenaIo, MalformedSegmentColumnsAreRejected)
         {"backwards segment", 128 + 7, 0xff},
         // begin[1] low byte: 20 -> 0, before end[0] -> unsorted.
         {"unsorted chain", 128 + 8, 0},
+        // Low bytes of the word tables.
+        {"empty word", word_count, 0},
+        {"gap", word_offset + 4, 3},
+        {"overlap", word_offset + 4, 1},
+        {"unowned tail segment", word_count + 4, 1},
     };
     const std::string cut = tempPath("segorder.bin");
     for (const Patch &patch : patches) {
@@ -421,6 +443,62 @@ TEST(ArenaIo, MalformedSegmentColumnsAreRejected)
             << patch.label << ": " << error;
     }
     std::remove(cut.c_str());
+}
+
+TEST(ArenaIo, RandomByteMutationsAreRejectedOrLintClean)
+{
+    // Seeded mutation fuzz: 1-4 changed bytes anywhere in a saved
+    // file. The loader must either reject the mutant with a message,
+    // or hand out an arena that lints clean and sweeps identically at
+    // 1 and 4 threads — never one the structure lint would flag.
+    LifetimeStore store = randomStore(11, 16);
+    const std::string path = tempPath("mutate_src.bin");
+    saveArena(LifetimeArena(store), path, 400);
+    const std::string bytes = readFile(path);
+    std::remove(path.c_str());
+
+    GridArray array(16);
+    ParityScheme parity;
+    MbAvfOptions opt;
+    opt.horizon = 400;
+    opt.numWindows = 4;
+    const std::string cut = tempPath("mutant.bin");
+    Rng rng(0x5eed);
+    unsigned loaded_count = 0;
+    for (unsigned trial = 0; trial < 2000; ++trial) {
+        std::string mutant = bytes;
+        const unsigned flips = 1 + static_cast<unsigned>(rng.below(4));
+        for (unsigned f = 0; f < flips; ++f) {
+            mutant[rng.below(mutant.size())] ^=
+                static_cast<char>(1 + rng.below(255));
+        }
+        writeFile(cut, mutant);
+        std::string error;
+        std::optional<LifetimeArena> loaded = tryLoadArena(cut, error);
+        if (!loaded) {
+            EXPECT_FALSE(error.empty()) << "trial " << trial;
+            continue;
+        }
+        ++loaded_count;
+        CheckReport report;
+        lintArenaStructure(*loaded, report);
+        ASSERT_EQ(report.totalCount(), 0u)
+            << "trial " << trial << ": "
+            << report.findings().front().code << " at "
+            << report.findings().front().where << ": "
+            << report.findings().front().message;
+        opt.numThreads = 1;
+        const ModeSweep t1 =
+            sweepModesArena(array, *loaded, parity, opt, 4);
+        opt.numThreads = 4;
+        const ModeSweep t4 =
+            sweepModesArena(array, *loaded, parity, opt, 4);
+        EXPECT_TRUE(sameSweep(t1, t4)) << "trial " << trial;
+    }
+    std::remove(cut.c_str());
+    // Both outcomes must actually occur, or the fuzz tests nothing.
+    EXPECT_GT(loaded_count, 0u);
+    EXPECT_LT(loaded_count, 2000u);
 }
 
 TEST(ArenaIo, OutOfRangeHandleIsRejected)

@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/trap.hh"
 #include "gpu/gpu.hh"
 #include "gpu/wave.hh"
@@ -278,32 +276,6 @@ TEST(Gpu, FinishFlushesAndFreezesHorizon)
     gpu.finish();
     EXPECT_GT(gpu.horizon(), 0u);
     EXPECT_EQ(gpu.l1(0).stats().writebacks, 4u); // 4 lines of 64B
-}
-
-TEST(Gpu, StatsDumpIsCoherent)
-{
-    Gpu gpu(smallGpu());
-    Addr buf = gpu.alloc(64 * 4);
-    gpu.launch(
-        [&](Wave &w) {
-            w.laneIdx(0);
-            w.muli(1, 0, 4);
-            w.addi(1, 1, static_cast<std::uint32_t>(buf));
-            w.load(2, 1);
-            w.store(1, 2);
-        },
-        2);
-    gpu.finish();
-
-    std::ostringstream os;
-    gpu.printStats(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("sim.cycles"), std::string::npos);
-    EXPECT_NE(text.find("l1[0].hits"), std::string::npos);
-    EXPECT_NE(text.find("dram.accesses"), std::string::npos);
-    // Instruction count: 2 waves x 5 instructions.
-    EXPECT_NE(text.find("sim.instructions      10"),
-              std::string::npos);
 }
 
 TEST(Gpu, OutOfRangeAddressTraps)

@@ -40,7 +40,7 @@
  */
 
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "analyze/attribution.hh"
@@ -50,7 +50,6 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/table.hh"
-#include "core/layout.hh"
 #include "core/mbavf.hh"
 #include "core/protection.hh"
 #include "obs/build_info.hh"
@@ -175,8 +174,6 @@ main(int argc, char **argv)
         args.getString("structure", "vgpr");
     const std::string scheme_name =
         args.getString("scheme", "secded");
-    const std::string style = args.getString(
-        "style", structure == "vgpr" ? "inter" : "way");
     const unsigned interleave =
         static_cast<unsigned>(args.getInt("interleave", 2));
     const unsigned mode_size =
@@ -196,8 +193,17 @@ main(int argc, char **argv)
     obs::Manifest manifest("mbavf_analyze");
 
     AceRunOptions options;
+    std::string error;
+    const std::optional<AnalyzedStructure> target = resolveStructure(
+        structure, args.getString("style", ""), interleave,
+        args.getBool("shield-due"), options.config, error);
+    if (!target)
+        fatal(error);
+    const std::string &style = target->style;
+    const PhysicalArray &array = *target->array;
+
     options.scale = static_cast<unsigned>(args.getInt("scale", 1));
-    options.measureL2 = structure == "l2";
+    options.measureL2 = target->measureL2();
     ProgramCapture capture;
     options.capture = &capture;
 
@@ -245,36 +251,13 @@ main(int argc, char **argv)
     }
 
     // --- Layer 2: protection-coverage passes -------------------------
-    LifetimeStore &life = structure == "l1" ? run.l1
-        : structure == "l2"                 ? run.l2
-                                            : run.vgpr;
-    if (structure != "l1" && structure != "l2" &&
-        structure != "vgpr") {
-        fatal("unknown structure '", structure, "'");
-    }
-
-    std::unique_ptr<PhysicalArray> array;
-    if (structure == "vgpr") {
-        RegInterleave ri = style == "intra"
-            ? RegInterleave::IntraThread
-            : RegInterleave::InterThread;
-        if (style != "intra" && style != "inter")
-            fatal("vgpr style must be intra|inter");
-        array = makeRegFileArray(options.config.regs, ri, interleave);
-    } else {
-        const CacheParams &cp = structure == "l2"
-            ? options.config.l2
-            : options.config.l1;
-        CacheGeometry geom{cp.sets, cp.ways, cp.lineBytes};
-        array = makeCacheArray(geom, parseCacheInterleave(style),
-                               interleave);
-    }
+    const LifetimeStore &life = target->lifetimes(run);
 
     auto scheme = makeScheme(scheme_name);
     analyze::DomainLintOptions domain_opts;
     domain_opts.coverModes = cover_modes;
     if (corruption == "uncovered") {
-        UncoveredArray bad(*array);
+        UncoveredArray bad(array);
         analyze::lintDomainCoverage(bad, life, *scheme, domain_opts,
                                     report);
     } else if (corruption == "mode-undetectable") {
@@ -282,10 +265,10 @@ main(int argc, char **argv)
         // count; modes >= interleave + 1 land two flips in one
         // domain and must be reported.
         auto parity = makeScheme("parity");
-        analyze::lintDomainCoverage(*array, life, *parity,
+        analyze::lintDomainCoverage(array, life, *parity,
                                     domain_opts, report);
     } else {
-        analyze::lintDomainCoverage(*array, life, *scheme,
+        analyze::lintDomainCoverage(array, life, *scheme,
                                     domain_opts, report);
     }
 
@@ -293,14 +276,13 @@ main(int argc, char **argv)
     MbAvfOptions opt;
     opt.horizon = run.horizon;
     opt.numThreads = num_threads;
-    opt.dueShieldsSdc = args.getBool("shield-due") ||
-        (structure == "vgpr" && style == "inter");
+    opt.dueShieldsSdc = target->dueShieldsSdc;
     const FaultMode mode = FaultMode::mx1(mode_size);
 
     MbAvfResult reference =
-        computeMbAvf(*array, life, *scheme, mode, opt);
+        computeMbAvf(array, life, *scheme, mode, opt);
     analyze::AttributionResult attr =
-        analyze::attributeMbAvf(*array, life, *scheme, mode, opt);
+        analyze::attributeMbAvf(array, life, *scheme, mode, opt);
 
     if (corruption == "conservation") {
         // One stray cycle breaks the partition; the checker must see

@@ -633,8 +633,6 @@ main(int argc, char **argv)
 
     const std::string structure = args.getString("structure", "l1");
     const std::string scheme_name = args.getString("scheme", "parity");
-    const std::string style = args.getString(
-        "style", structure == "vgpr" ? "inter" : "way");
     const unsigned interleave =
         static_cast<unsigned>(args.getInt("interleave", 2));
     const unsigned max_mode =
@@ -662,24 +660,25 @@ main(int argc, char **argv)
     enableObsSinks(manifest_path, trace_path);
     obs::Manifest manifest("mbavf");
 
-    GpuConfig config;
-    LifetimeStore life(8, 64);
-    Cycle horizon = 0;
+    const GpuConfig config;
+    std::string error;
+    const std::optional<AnalyzedStructure> target = resolveStructure(
+        structure, args.getString("style", ""), interleave,
+        args.getBool("shield-due"), config, error);
+    if (!target)
+        fatal(error);
+    const std::string &style = target->style;
 
     const std::string arena_out = args.getString("arena-out", "");
     const std::string arena_in = args.getString("arena-in", "");
 
-    // An arena file has no backing store, so every store-producing
-    // or store-consuming option is incoherent next to --arena-in.
+    // One arena: mapped from --arena-in, or built once from the
+    // simulated structure (the run is dropped before the sweep).
+    Cycle horizon = 0;
     std::optional<LifetimeArena> arena;
     if (!arena_in.empty()) {
         if (args.has("workload"))
             fatal("--arena-in replaces --workload");
-        if (!arena_out.empty()) {
-            fatal("--arena-out needs a lifetime store; --arena-in "
-                  "provides none");
-        }
-        std::string error;
         arena = tryLoadArena(arena_in, error, &horizon);
         if (!arena)
             fatal("cannot load arena '", arena_in, "': ", error);
@@ -701,7 +700,7 @@ main(int argc, char **argv)
             static_cast<unsigned>(args.getInt("scale", 1));
         std::cout << "simulating '" << workload << "' ...\n";
         AceRun run = runAceAnalysis(workload, scale, config,
-                                    structure == "l2");
+                                    target->measureL2());
         horizon = run.horizon;
         if (!manifest_path.empty()) {
             obs::JsonValue caches = obs::JsonValue::object();
@@ -709,48 +708,17 @@ main(int argc, char **argv)
             caches.set("l2", obs::cacheStatsJson(run.l2Stats));
             manifest.set("cache", std::move(caches));
         }
-        if (structure == "l1")
-            life = std::move(run.l1);
-        else if (structure == "l2")
-            life = std::move(run.l2);
-        else if (structure == "vgpr")
-            life = std::move(run.vgpr);
-        else
-            fatal("unknown structure '", structure, "'");
-    }
-
-    if (!arena_out.empty()) {
-        // Stream straight from the store: byte-identical to the
-        // in-memory snapshot path without holding both copies.
-        streamArenaFromStore(life, arena_out, horizon);
-        std::cout << "saved arena to " << arena_out << "\n";
+        arena.emplace(target->lifetimes(run));
     }
 
     // Guard against pairing a saved arena with the wrong structure:
     // VGPR lifetimes are 32-bit words, cache lifetimes 8-bit.
-    const unsigned word_width =
-        arena ? arena->wordWidth() : life.wordWidth();
-    unsigned expected_width = structure == "vgpr" ? 32 : 8;
-    if (word_width != expected_width) {
-        fatal("lifetime word width ", word_width,
-              " does not match structure '", structure, "'");
-    }
+    if (!target->checkWordWidth(arena->wordWidth(), error))
+        fatal(error);
 
-    // Build the physical array.
-    std::unique_ptr<PhysicalArray> array;
-    if (structure == "vgpr") {
-        RegInterleave ri = style == "intra"
-            ? RegInterleave::IntraThread
-            : RegInterleave::InterThread;
-        if (style != "intra" && style != "inter")
-            fatal("vgpr style must be intra|inter");
-        array = makeRegFileArray(config.regs, ri, interleave);
-    } else {
-        const CacheParams &cp =
-            structure == "l2" ? config.l2 : config.l1;
-        CacheGeometry geom{cp.sets, cp.ways, cp.lineBytes};
-        array = makeCacheArray(geom, parseCacheInterleave(style),
-                               interleave);
+    if (!arena_out.empty()) {
+        saveArena(*arena, arena_out, horizon);
+        std::cout << "saved arena to " << arena_out << "\n";
     }
 
     auto scheme = makeScheme(scheme_name);
@@ -758,16 +726,14 @@ main(int argc, char **argv)
     opt.horizon = horizon;
     opt.numWindows = windows;
     opt.numThreads = num_threads;
-    opt.dueShieldsSdc = args.getBool("shield-due") ||
-        (structure == "vgpr" && style == "inter");
+    opt.dueShieldsSdc = target->dueShieldsSdc;
 
     std::cout << "\n" << structure << ", " << scheme->name() << ", "
               << style << " x" << interleave << ", horizon "
               << horizon << "\n\n";
 
-    ModeSweep sweep = arena
-        ? sweepModesArena(*array, *arena, *scheme, opt, max_mode)
-        : sweepModes(*array, life, *scheme, opt, max_mode);
+    ModeSweep sweep =
+        sweepModesArena(*target->array, *arena, *scheme, opt, max_mode);
 
     Table table({"mode", "SDC AVF", "trueDUE AVF", "falseDUE AVF",
                  "total"});
@@ -788,9 +754,7 @@ main(int argc, char **argv)
               << formatFixed(ser.sdc, 4) << "  DUE "
               << formatFixed(ser.due(), 4) << "  (check bits: +"
               << formatFixed(100.0 * scheme->areaOverhead(
-                                 structure == "vgpr"
-                                     ? config.regs.regBits
-                                     : config.l1.lineBytes * 8),
+                                 target->protectedBits),
                              1)
               << "% area)\n";
 
